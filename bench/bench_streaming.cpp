@@ -2,16 +2,18 @@
 //
 // One trace (gcc_like, seed 42) is materialized once, outside every
 // timed region, so each phase times pure replay — no generator RNG in
-// the loop. Serial and sharded replays of the same trace then run for
-// the flat COMET device and the hybrid-comet design point:
+// the loop. The flat COMET device replays it directly (always serial:
+// flat direct replay does not shard), then serial and sharded replays
+// of the same trace run for COMET behind the frfcfs controller (default
+// queues) and for the hybrid-comet design point:
 //
 //   - bit-identity between serial and sharded stats is ALWAYS enforced
 //     (any mismatch exits 1) — the same invariant tests/test_sharded.cpp
 //     proves on small traces, re-checked here at bench scale;
-//   - the >= 3x sharded-vs-serial speedup gate on the 8-channel COMET
-//     engages only when the machine has >= 4 hardware threads (a 1-2
-//     vCPU runner cannot demonstrate parallel speedup, but it can still
-//     prove correctness).
+//   - the >= 3x sharded-vs-serial speedup gate on the 8-channel
+//     scheduled COMET engages only when the machine has >= 4 hardware
+//     threads (a 1-2 vCPU runner cannot demonstrate parallel speedup,
+//     but it can still prove correctness).
 //
 // Every phase lands in BENCH_streaming.json (bench/bench_json.hpp
 // schema); CI's perf lane diffs requests_per_s against the committed
@@ -34,6 +36,7 @@
 #include "memsim/sharded.hpp"
 #include "memsim/trace_gen.hpp"
 #include "prof/profiler.hpp"
+#include "sched/controller.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/table.hpp"
 
@@ -43,6 +46,8 @@ namespace ms = comet::memsim;
 
 struct Phase {
   std::string label;
+  std::string device;
+  std::string policy;  ///< Empty for direct (unscheduled) replay.
   double seconds = 0.0;
   int threads = 1;
   ms::SimStats stats;
@@ -113,17 +118,29 @@ int main(int argc, char** argv) {
             << ", serial vs sharded x" << shard_threads << " ("
             << hw_threads << " hardware thread(s))\n\n";
 
+  // The sharded scheduled pair: frfcfs with the default bounded queues.
+  comet::sched::ControllerConfig frfcfs;
+  frfcfs.policy = comet::sched::Policy::kFrFcfs;
+
   std::vector<Phase> phases;
-  const auto run = [&](const comet::driver::DeviceSpec& spec,
-                       const std::string& label, int threads) {
-    phases.push_back(timed_phase(label, threads, [&] {
-      return spec.make_engine(std::nullopt, threads)->run(trace, profile.name);
-    }));
-  };
-  run(flat, "flat_serial", 1);
-  run(flat, "flat_sharded", shard_threads);
-  run(hybrid, "hybrid_serial", 1);
-  run(hybrid, "hybrid_sharded", shard_threads);
+  const auto run =
+      [&](const comet::driver::DeviceSpec& spec, const std::string& label,
+          const std::optional<comet::sched::ControllerConfig>& controller,
+          int threads) {
+        phases.push_back(timed_phase(label, threads, [&] {
+          return spec.make_engine(controller, threads)
+              ->run(trace, profile.name);
+        }));
+        phases.back().device = spec.name;
+        if (controller) {
+          phases.back().policy = comet::sched::policy_name(controller->policy);
+        }
+      };
+  run(flat, "flat_serial", std::nullopt, 1);
+  run(flat, "sched_serial", frfcfs, 1);
+  run(flat, "sched_sharded", frfcfs, shard_threads);
+  run(hybrid, "hybrid_serial", std::nullopt, 1);
+  run(hybrid, "hybrid_sharded", std::nullopt, shard_threads);
 
   // Telemetry-on replay: the same serial flat run with full request
   // tracing (capped at 1M events) and a 1 µs epoch sampler attached.
@@ -139,6 +156,7 @@ int main(int argc, char** argv) {
     engine->attach_telemetry(&collector);
     return engine->run(trace, profile.name);
   }));
+  phases.back().device = flat.name;
 
   // Profiler-on replay (PR 10): the same serial flat run with the host
   // run profiler attached. Its req/s against flat_serial is the
@@ -153,6 +171,7 @@ int main(int argc, char** argv) {
     engine->attach_profiler(&profiler);
     return engine->run(trace, profile.name);
   }));
+  phases.back().device = flat.name;
 
   Table table({"phase", "threads", "time (s)", "req/s", "BW (GB/s)",
                "EPB (pJ/bit)"});
@@ -167,10 +186,10 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   bool ok = true;
-  // Serial-vs-sharded pairs: (flat_serial, flat_sharded) and
-  // (hybrid_serial, hybrid_sharded) — the observer phases after index 3
+  // Serial-vs-sharded pairs: (sched_serial, sched_sharded) and
+  // (hybrid_serial, hybrid_sharded) — the observer phases after index 4
   // are checked against flat_serial individually below.
-  for (std::size_t i = 0; i + 1 < 4; i += 2) {
+  for (std::size_t i = 1; i + 1 < 5; i += 2) {
     const bool match = identical(phases[i].stats, phases[i + 1].stats);
     std::cout << "\n" << phases[i].label << " vs " << phases[i + 1].label
               << ": " << (match ? "bit-identical" : "MISMATCH");
@@ -178,7 +197,7 @@ int main(int argc, char** argv) {
   }
   // Observation must not perturb: the instrumented replays reproduce
   // the uninstrumented stats exactly.
-  for (const std::size_t observed : {std::size_t{4}, std::size_t{5}}) {
+  for (const std::size_t observed : {std::size_t{5}, std::size_t{6}}) {
     const bool match = identical(phases[0].stats, phases[observed].stats);
     std::cout << "\nflat_serial vs " << phases[observed].label << ": "
               << (match ? "bit-identical" : "MISMATCH");
@@ -187,12 +206,12 @@ int main(int argc, char** argv) {
   std::cout << "\n";
   std::cout << "telemetry-on overhead: "
             << Table::num(
-                   (phases[4].seconds / phases[0].seconds - 1.0) * 100.0, 1)
+                   (phases[5].seconds / phases[0].seconds - 1.0) * 100.0, 1)
             << "% serial (" << collector.recorded_events() << " events, "
             << collector.timeline().size() << " epochs recorded)\n";
 
   const double prof_overhead =
-      (phases[5].seconds / phases[0].seconds - 1.0) * 100.0;
+      (phases[6].seconds / phases[0].seconds - 1.0) * 100.0;
   std::cout << "profiler-on overhead: " << Table::num(prof_overhead, 1)
             << "% serial (" << profiler.stages().size()
             << " stages recorded)\n";
@@ -208,9 +227,9 @@ int main(int argc, char** argv) {
     std::cout << "(profiler overhead gate skipped: needs >= 1M requests)\n";
   }
 
-  const double speedup = phases[0].seconds / phases[1].seconds;
-  std::cout << "flat sharded speedup: " << Table::num(speedup, 2) << "x on "
-            << hw_threads << " hardware threads\n";
+  const double speedup = phases[1].seconds / phases[2].seconds;
+  std::cout << "scheduled sharded speedup: " << Table::num(speedup, 2)
+            << "x on " << hw_threads << " hardware threads\n";
   if (hw_threads >= 4) {
     if (speedup < 3.0) {
       std::cout << "FAIL: expected >= 3x sharded speedup with >= 4 hardware "
@@ -231,14 +250,15 @@ int main(int argc, char** argv) {
       r.requests = requests;
       r.wall_s = phase.seconds;
       r.requests_per_s = double(requests) / phase.seconds;
-      r.config = {{"device", cb::json_str(phase.label.rfind("flat", 0) == 0
-                                              ? flat.name
-                                              : hybrid.name)},
+      r.config = {{"device", cb::json_str(phase.device)},
                   {"workload", cb::json_str(profile.name)},
                   {"run_threads", std::to_string(phase.threads)},
                   {"hw_threads", std::to_string(hw_threads)},
                   {"line_bytes", std::to_string(kLineBytes)},
                   {"seed", "42"}};
+      if (!phase.policy.empty()) {
+        r.config.emplace_back("policy", cb::json_str(phase.policy));
+      }
       results.push_back(std::move(r));
     }
     cb::write_bench_json(json, "bench_streaming", results);

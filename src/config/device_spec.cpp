@@ -42,9 +42,6 @@ std::unique_ptr<memsim::Engine> DeviceSpec::make_engine(
       return std::make_unique<sched::ScheduledSystem>(*flat, *controller,
                                                       threads);
     }
-    if (threads > 1) {
-      return std::make_unique<memsim::ShardedEngine>(*flat, threads);
-    }
     return std::make_unique<memsim::MemorySystem>(*flat);
   }
   throw std::logic_error(

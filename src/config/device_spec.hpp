@@ -55,12 +55,13 @@ struct DeviceSpec {
   std::unique_ptr<memsim::Engine> make_engine(
       const std::optional<sched::ControllerConfig>& controller) const;
 
-  /// Sharded variant: with run_threads > 1 (0 = one per hardware
-  /// thread, memsim::resolve_run_threads), replay shards into
-  /// per-channel lanes on a worker pool — memsim::ShardedEngine for a
-  /// plain flat spec, the sharded modes of ScheduledSystem /
-  /// TieredSystem otherwise — with results bit-identical to
-  /// run_threads == 1 for every combination.
+  /// Sharded variant: `run_threads` (0 = one per hardware thread,
+  /// memsim::resolve_run_threads) is the per-channel lane worker count
+  /// of a ScheduledSystem or TieredSystem, with results bit-identical
+  /// to run_threads == 1 for every combination. A plain flat spec
+  /// always gets a serial MemorySystem whatever the count: flat direct
+  /// replay costs too little per request for lane routing and block
+  /// hand-off to pay (see memsim/sharded.hpp).
   std::unique_ptr<memsim::Engine> make_engine(
       const std::optional<sched::ControllerConfig>& controller,
       int run_threads) const;

@@ -67,9 +67,10 @@
 ///     [tenant.batch]
 ///     trace_file = "batch.nvt"              # trace tenant
 ///
-/// A `[controller]` holding only `run_threads` shards the direct replay
-/// without engaging scheduling (results are bit-identical for any
-/// thread count either way, so the axis measures wall-clock only).
+/// A `[controller]` holding only `run_threads` shards hybrid tier
+/// replays without engaging scheduling; flat direct replay stays
+/// serial (results are bit-identical for any thread count either way,
+/// so the axis measures wall-clock only).
 ///
 /// The matrix expands devices × channels × policies × run_threads ×
 /// workloads × requests × seeds in that nesting order, devices ordered

@@ -155,9 +155,10 @@ memsim::WorkloadProfile parse_workload(const toml::Table& table,
 /// template and the `run_threads` sharding axis (scalar or array;
 /// 0 = one worker per hardware thread). A section holding *only*
 /// `run_threads` does not engage scheduling — `policies` stays empty
-/// and the replay stays direct, just sharded. Any scheduling key
-/// (policy, a queue depth, a watermark) engages it, with `policy`
-/// defaulting to `{fcfs}` when absent. When only `write_queue_depth`
+/// and the replay stays direct (sharded for hybrid tiers; flat direct
+/// replay is always serial). Any scheduling key (policy, a queue
+/// depth, a watermark) engages it, with `policy` defaulting to
+/// `{fcfs}` when absent. When only `write_queue_depth`
 /// is given, the drain watermarks are re-derived from it (7/8 and 3/8
 /// of a bounded depth) instead of keeping the depth-32 defaults.
 /// Schema violations and inconsistent watermarks raise

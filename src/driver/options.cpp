@@ -590,9 +590,11 @@ std::string usage() {
      << "  --requests N           requests per run (default: 20000)\n"
      << "  --threads N            sweep worker threads (default: hardware)\n"
      << "  --run-threads N        per-channel replay worker threads inside\n"
-     << "                         each run (default: 1 = serial; 0 =\n"
-     << "                         hardware threads); results are\n"
-     << "                         bit-identical for any value\n"
+     << "                         each scheduled or hybrid run (default:\n"
+     << "                         1 = inline; 0 = hardware threads);\n"
+     << "                         flat direct replay is always serial (too\n"
+     << "                         cheap per request for lanes to pay);\n"
+     << "                         results are bit-identical for any value\n"
      << "  --seed N               trace RNG seed (default: 42)\n"
      << "  --line-bytes N         request line size (default: 128)\n"
      << "  --cache-mb N           hybrid devices: DRAM cache capacity [MiB]\n"

@@ -21,8 +21,10 @@ struct Options {
   std::size_t requests = 20000;  ///< Requests per (device, workload) run.
   int threads = 0;               ///< Sweep workers; 0 = hardware threads.
   int run_threads = 1;           ///< Per-channel replay workers inside
-                                 ///< each run; 0 = hardware threads.
-                                 ///< Bit-identical results for any value.
+                                 ///< each scheduled or hybrid run (flat
+                                 ///< direct replay is always serial);
+                                 ///< 0 = hardware threads. Bit-identical
+                                 ///< results for any value.
   std::uint64_t seed = 42;       ///< Trace-generator seed.
   std::uint32_t line_bytes = 128;
   std::string json_path;         ///< Non-empty: write machine-readable JSON.

@@ -1,11 +1,11 @@
 #include "hybrid/tiered_system.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 
+#include "memsim/pump.hpp"
 #include "memsim/sharded.hpp"
 #include "memsim/system.hpp"
 #include "prof/profiler.hpp"
@@ -199,17 +199,12 @@ TieredStats TieredSystem::run_tiered(memsim::RequestSource& source,
   const memsim::MemorySystem backend_system(config_.backend);
   // Per-tier telemetry stages: the event budget splits evenly between
   // the tiers (0 = unlimited splits to unlimited on both).
-  telemetry::Recorder* dram_recorder = nullptr;
-  telemetry::Recorder* backend_recorder = nullptr;
-  if (telemetry::Collector* collector = telemetry()) {
-    const std::uint64_t limit = collector->spec().trace_limit;
-    dram_recorder = collector->add_stage(
-        "dram", config_.dram.timing.channels,
-        config_.dram.timing.banks_per_channel, limit / 2);
-    backend_recorder = collector->add_stage(
-        "backend", config_.backend.timing.channels,
-        config_.backend.timing.banks_per_channel, limit - limit / 2);
-  }
+  const std::uint64_t limit =
+      telemetry() ? telemetry()->spec().trace_limit : 0;
+  telemetry::Recorder* dram_recorder =
+      telemetry_stage(config_.dram.timing, "dram", limit / 2);
+  telemetry::Recorder* backend_recorder =
+      telemetry_stage(config_.backend.timing, "backend", limit - limit / 2);
   prof::Profiler* const profiler = this->profiler();
   TierStage tiers(dram_system, backend_system, backend_controller_,
                   workload_name, run_threads_, dram_recorder,
@@ -238,6 +233,18 @@ TieredStats TieredSystem::run_tiered(memsim::RequestSource& source,
       ++c.reads;
     }
     c.bytes_transferred += req.size_bytes;
+    // Per-tenant demand counts, at the filter like the totals above, so
+    // they sum to reads + writes (the tiers also count carry traffic).
+    if (req.tenant != 0) {
+      if (c.tenants.size() < req.tenant) c.tenants.resize(req.tenant);
+      memsim::TenantBreakdown& tenant = c.tenants[req.tenant - 1u];
+      if (is_write) {
+        ++tenant.writes;
+      } else {
+        ++tenant.reads;
+      }
+      tenant.bytes_transferred += req.size_bytes;
+    }
 
     // One demand request may straddle several (coarse) cache lines.
     const std::uint64_t demand_end =
@@ -248,13 +255,17 @@ TieredStats TieredSystem::run_tiered(memsim::RequestSource& source,
       const std::uint64_t line_address = line * line_bytes;
       const auto outcome = cache.access(line_address, is_write);
 
+      // Derived traffic inherits the demand's tenant, so the tiers'
+      // per-tenant latency and a fairness-aware backend controller both
+      // see whose request caused it.
       const auto emit_dram = [&](Op op, std::uint64_t address,
                                  std::uint32_t size, std::uint64_t id) {
         tiers.feed_dram(Request{.id = id,
                                 .arrival_ps = req.arrival_ps,
                                 .op = op,
                                 .address = address,
-                                .size_bytes = size});
+                                .size_bytes = size,
+                                .tenant = req.tenant});
       };
       const auto emit_backend = [&](Op op, std::uint64_t address,
                                     std::uint32_t size, std::uint64_t id) {
@@ -262,7 +273,8 @@ TieredStats TieredSystem::run_tiered(memsim::RequestSource& source,
                                    .arrival_ps = req.arrival_ps,
                                    .op = op,
                                    .address = address,
-                                   .size_bytes = size});
+                                   .size_bytes = size,
+                                   .tenant = req.tenant});
       };
       // The demand bytes falling inside this cache line; fills, fetches
       // and writebacks always move the whole (coarse) line.
@@ -302,32 +314,7 @@ TieredStats TieredSystem::run_tiered(memsim::RequestSource& source,
     }
   };
 
-  Request block[memsim::kFeedBlockRequests];
-  using ProfClock = std::chrono::steady_clock;
-  double pull_s = 0.0;
-  double feed_s = 0.0;
-  std::uint64_t batches = 0;
-  for (;;) {
-    ProfClock::time_point t0;
-    if (profiler) t0 = ProfClock::now();
-    const std::size_t pulled =
-        source.next_batch(block, memsim::kFeedBlockRequests);
-    if (pulled == 0) break;
-    if (profiler) {
-      pull_s += std::chrono::duration<double>(ProfClock::now() - t0).count();
-      ++batches;
-      t0 = ProfClock::now();
-    }
-    for (std::size_t i = 0; i < pulled; ++i) process_demand(block[i]);
-    if (profiler) {
-      feed_s += std::chrono::duration<double>(ProfClock::now() - t0).count();
-      profiler->add_progress(pulled);
-    }
-  }
-  if (profiler && batches > 0) {
-    profiler->record_stage("source_pull", pull_s, batches);
-    profiler->record_stage("engine_feed", feed_s, batches);
-  }
+  memsim::pump(source, profiler, process_demand);
 
   prof::StageTimer merge_timer(profiler, "shard_merge");
   memsim::ReplaySlice dram_slice;
@@ -381,6 +368,15 @@ TieredStats TieredSystem::run_tiered(memsim::RequestSource& source,
   c.write_latency_ns.merge(stats.backend.write_latency_ns);
   c.queue_delay_ns = stats.dram.queue_delay_ns;
   c.queue_delay_ns.merge(stats.backend.queue_delay_ns);
+  // Per-tenant latency by the same rule. Every derived request carries
+  // a demand tenant, so neither tier knows a tenant the filter did not.
+  for (std::size_t i = 0; i < c.tenants.size(); ++i) {
+    for (const memsim::SimStats* tier : {&stats.dram, &stats.backend}) {
+      if (i < tier->tenants.size()) {
+        c.tenants[i].latency_ns.merge(tier->tenants[i].latency_ns);
+      }
+    }
+  }
   c.dynamic_energy_pj =
       stats.dram.dynamic_energy_pj + stats.backend.dynamic_energy_pj;
   c.background_energy_pj =

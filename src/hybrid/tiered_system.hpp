@@ -22,12 +22,13 @@
 /// tag model splits the demand stream into a DRAM-tier stream (hits and
 /// fills) and a backend stream (demand misses, write-allocate fetches,
 /// dirty-eviction writebacks), each derived request inheriting the
-/// arrival time of the demand request that caused it — so both
-/// sub-streams stay sorted. The split is fully streaming: demand
-/// requests are pulled one at a time and the derived traffic is fed
-/// straight into two concurrent memsim::ReplaySessions, so neither the
-/// demand trace nor either sub-stream is ever materialized (O(1) memory,
-/// like the flat engine).
+/// arrival time and tenant of the demand request that caused it — so
+/// both sub-streams stay sorted and per-tenant accounting survives the
+/// split. The split is fully streaming: demand requests are pumped one
+/// at a time (memsim::pump) and the derived traffic is fed straight
+/// into per-channel replay lanes of both tiers, so neither the demand
+/// trace nor either sub-stream is ever materialized (O(1) memory, like
+/// the flat engine).
 namespace comet::hybrid {
 
 /// One hybrid design point: a DRAM cache tier fronting a backend.
@@ -43,9 +44,10 @@ struct TieredConfig {
 };
 
 /// Per-tier view of one tiered replay. `combined` is what the driver
-/// reports: demand-stream reads/writes/bytes, merged latency
-/// distributions, summed energy, and the cache hit/writeback breakdown
-/// in the SimStats hybrid fields.
+/// reports: demand-stream reads/writes/bytes (per tenant too, for a
+/// tagged stream), merged latency distributions (per tenant by the same
+/// rule), summed energy, and the cache hit/writeback breakdown in the
+/// SimStats hybrid fields.
 struct TieredStats {
   memsim::SimStats combined;
   memsim::SimStats dram;     ///< DRAM-tier replay (hits + fills).
@@ -78,8 +80,12 @@ class TieredSystem final : public memsim::Engine {
   /// `run_threads` (as in memsim::resolve_run_threads) shards the two
   /// tier replays into per-channel lanes on a worker pool: the cache
   /// filter stays on the caller's thread (its tag state is global), the
-  /// derived per-tier traffic fans out by serving channel. Results are
-  /// bit-identical for any thread count.
+  /// derived per-tier traffic fans out by serving channel. Serial and
+  /// sharded runs are one code path (run_threads <= 1 feeds the lanes
+  /// inline) with bit-identical results for any thread count. Unlike a
+  /// flat direct replay, which is always serial because one session per
+  /// request costs too little for lane hand-off to pay, the two tiers
+  /// together carry enough work per demand request to gain from it.
   TieredSystem(TieredConfig config,
                std::optional<sched::ControllerConfig> backend_controller,
                int run_threads = 1);

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -8,6 +10,7 @@
 
 namespace comet::telemetry {
 class Collector;
+class Recorder;
 }
 
 namespace comet::prof {
@@ -24,6 +27,8 @@ class Profiler;
 /// on the stack of each run() call, so one Engine may serve concurrent
 /// sweep workers with bit-identical results.
 namespace comet::memsim {
+
+struct DeviceTiming;
 
 class Engine {
  public:
@@ -66,6 +71,17 @@ class Engine {
   /// replays it, bit-identical to the streaming path.
   SimStats run(const std::vector<Request>& requests,
                const std::string& workload_name = "") const;
+
+ protected:
+  /// Registers one telemetry stage for a device shaped like `timing`
+  /// (its channels x banks) on the attached collector and returns the
+  /// stage's recorder, or nullptr when no collector is attached. The
+  /// stage gets the collector's whole request-trace budget unless
+  /// `event_budget` gives it a share (composite engines split one
+  /// budget across their stages).
+  telemetry::Recorder* telemetry_stage(
+      const DeviceTiming& timing, std::string name = "",
+      std::optional<std::uint64_t> event_budget = std::nullopt) const;
 
  private:
   telemetry::Collector* telemetry_ = nullptr;

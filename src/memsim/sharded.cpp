@@ -8,8 +8,8 @@
 #include <thread>
 #include <utility>
 
+#include "memsim/pump.hpp"
 #include "prof/profiler.hpp"
-#include "telemetry/telemetry.hpp"
 #include "util/ring.hpp"
 
 namespace comet::memsim {
@@ -290,70 +290,22 @@ SimStats run_sharded(const MemorySystem& system,
   prof::PoolProfile* pool_profile =
       profiler ? profiler->add_pool("") : nullptr;
   LanePool pool(std::move(lanes), threads, pool_profile);
-  Request block[kFeedBlockRequests];
   std::uint64_t fed = 0;
   std::uint64_t prev_arrival = 0;
-  // Stage wall time is accumulated locally per batch and recorded once:
-  // two clock reads per 1024-request block when profiling, nothing when
-  // not.
-  double pull_s = 0.0;
-  double feed_s = 0.0;
-  std::uint64_t batches = 0;
-  for (;;) {
-    ProfClock::time_point t0;
-    if (profiler) t0 = ProfClock::now();
-    const std::size_t pulled = source.next_batch(block, kFeedBlockRequests);
-    if (profiler && pulled > 0) pull_s += seconds_since(t0);
-    if (pulled == 0) break;
-    ++batches;
-    if (profiler) t0 = ProfClock::now();
-    for (std::size_t i = 0; i < pulled; ++i) {
-      const Request& req = block[i];
-      // The global sorted-stream contract, with serial-identical
-      // diagnostics; lanes re-check their own subsequences a fortiori.
-      if (fed > 0) check_arrival_order(fed, prev_arrival, req.arrival_ps);
-      prev_arrival = req.arrival_ps;
-      ++fed;
-      pool.feed(static_cast<std::size_t>(place_request(timing, req).channel),
-                req);
-    }
-    if (profiler) {
-      feed_s += seconds_since(t0);
-      profiler->add_progress(pulled);
-    }
-  }
-  if (profiler && batches > 0) {
-    profiler->record_stage("source_pull", pull_s, batches);
-    profiler->record_stage("engine_feed", feed_s, batches);
-  }
+  pump(source, profiler, [&](const Request& req) {
+    // The global sorted-stream contract, with serial-identical
+    // diagnostics; lanes re-check their own subsequences a fortiori.
+    if (fed > 0) check_arrival_order(fed, prev_arrival, req.arrival_ps);
+    prev_arrival = req.arrival_ps;
+    ++fed;
+    pool.feed(static_cast<std::size_t>(place_request(timing, req).channel),
+              req);
+  });
   prof::StageTimer merge_timer(profiler, "shard_merge");
   std::vector<ReplaySlice> slices = pool.finish();
   ReplaySlice total;
   for (const ReplaySlice& slice : slices) merge_slice(total, slice);
   return finalize_slice(std::move(total), system.model());
-}
-
-ShardedEngine::ShardedEngine(DeviceModel model, int run_threads)
-    : system_(std::move(model)),
-      run_threads_(resolve_run_threads(run_threads)) {}
-
-SimStats ShardedEngine::run(RequestSource& source,
-                            const std::string& workload_name) const {
-  telemetry::Recorder* recorder = nullptr;
-  if (telemetry::Collector* collector = telemetry()) {
-    recorder = collector->add_stage("", system_.model().timing.channels,
-                                    system_.model().timing.banks_per_channel,
-                                    collector->spec().trace_limit);
-  }
-  std::vector<std::unique_ptr<ShardLane>> lanes;
-  const int channels = system_.model().timing.channels;
-  lanes.reserve(static_cast<std::size_t>(channels));
-  for (int c = 0; c < channels; ++c) {
-    lanes.push_back(
-        std::make_unique<SessionLane>(system_, workload_name, recorder));
-  }
-  return run_sharded(system_, std::move(lanes), run_threads_, source,
-                     profiler());
 }
 
 }  // namespace comet::memsim

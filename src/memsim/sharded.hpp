@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "memsim/engine.hpp"
 #include "memsim/system.hpp"
 
 /// Sharded per-channel parallel replay.
@@ -21,6 +20,15 @@
 /// result is bit-identical to a serial run for any thread count. That
 /// bit-identity is a hard test gate (tests/test_sharded.cpp), not a
 /// best-effort property.
+///
+/// Who shards: sched::ScheduledSystem (always through per-channel
+/// ControllerLanes; run_threads <= 1 feeds them inline) and
+/// hybrid::TieredSystem (both tier replays behind one pool). Flat
+/// direct replay does not: a MemorySystem is always one serial
+/// ReplaySession, because a request costs too little there for the
+/// routing and block hand-off to pay — measured on a 4-thread host,
+/// 4 workers ran flat COMET at 0.87-1.14x serial, and inline lanes cost
+/// 35-43% more than one session.
 ///
 /// Threading model: the caller's thread is the producer — it pulls the
 /// source in blocks (sources are single-pass and stay single-threaded),
@@ -55,11 +63,12 @@ class ShardLane {
   virtual ReplaySlice finish_slice() = 0;
 };
 
-/// Plain ReplaySession lane — the shard unit of an unscheduled flat
-/// device. The optional telemetry recorder is shared by every lane of
-/// a stage: each lane only writes the recorder lane of the channel it
-/// serves, so the sharing is race-free and the recorded telemetry is
-/// byte-identical to a serial session's (see telemetry.hpp).
+/// Plain ReplaySession lane — the shard unit of an unscheduled tier
+/// replay (hybrid::TieredSystem). The optional telemetry recorder is
+/// shared by every lane of a stage: each lane only writes the recorder
+/// lane of the channel it serves, so the sharing is race-free and the
+/// recorded telemetry is byte-identical to a serial session's (see
+/// telemetry.hpp).
 class SessionLane final : public ShardLane {
  public:
   SessionLane(const MemorySystem& system, std::string workload_name,
@@ -105,38 +114,17 @@ class LanePool {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Shared driver loop for sharded engines: streams `source` through one
-/// lane per device channel (routing by the same place_request hash the
-/// replay uses), enforcing the global sorted-by-arrival contract with
-/// serial-identical diagnostics, then merges the slices in channel
-/// order and finalizes against `system`'s model.
+/// Shared driver for sharded engines: pumps `source` (memsim::pump)
+/// through one lane per device channel (routing by the same
+/// place_request hash the replay uses), enforcing the global
+/// sorted-by-arrival contract with serial-identical diagnostics, then
+/// merges the slices in channel order and finalizes against `system`'s
+/// model.
 /// A non-null `profiler` receives a pool profile plus "source_pull" /
 /// "engine_feed" / "shard_merge" stage timings and live progress ticks.
 SimStats run_sharded(const MemorySystem& system,
                      std::vector<std::unique_ptr<ShardLane>> lanes,
                      int threads, RequestSource& source,
                      prof::Profiler* profiler = nullptr);
-
-/// Engine adapter: a flat MemorySystem replayed across per-channel
-/// worker threads — the parallel twin of MemorySystem itself, returning
-/// bit-identical statistics. Const and stateless across runs like every
-/// Engine; each run() builds its lanes and pool on the stack.
-class ShardedEngine final : public Engine {
- public:
-  /// Validates the model; `run_threads` as in resolve_run_threads.
-  ShardedEngine(DeviceModel model, int run_threads);
-
-  const MemorySystem& system() const { return system_; }
-  int run_threads() const { return run_threads_; }
-
-  using Engine::run;
-
-  SimStats run(RequestSource& source,
-               const std::string& workload_name = "") const override;
-
- private:
-  MemorySystem system_;
-  int run_threads_;
-};
 
 }  // namespace comet::memsim

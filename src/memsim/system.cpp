@@ -1,11 +1,10 @@
 #include "memsim/system.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <sstream>
 #include <stdexcept>
 
-#include "prof/profiler.hpp"
+#include "memsim/pump.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/ring.hpp"
 
@@ -458,39 +457,8 @@ MemorySystem::MemorySystem(DeviceModel model) : model_(std::move(model)) {
 
 SimStats MemorySystem::run(RequestSource& source,
                            const std::string& workload_name) const {
-  telemetry::Recorder* recorder = nullptr;
-  if (telemetry::Collector* collector = telemetry()) {
-    recorder = collector->add_stage("", model_.timing.channels,
-                                    model_.timing.banks_per_channel,
-                                    collector->spec().trace_limit);
-  }
-  ReplaySession session(*this, workload_name, recorder);
-  Request block[kFeedBlockRequests];
-  prof::Profiler* const profiler = this->profiler();
-  using ProfClock = std::chrono::steady_clock;
-  double pull_s = 0.0;
-  double feed_s = 0.0;
-  std::uint64_t batches = 0;
-  for (;;) {
-    ProfClock::time_point t0;
-    if (profiler) t0 = ProfClock::now();
-    const std::size_t pulled = source.next_batch(block, kFeedBlockRequests);
-    if (pulled == 0) break;
-    if (profiler) {
-      pull_s += std::chrono::duration<double>(ProfClock::now() - t0).count();
-      ++batches;
-      t0 = ProfClock::now();
-    }
-    for (std::size_t i = 0; i < pulled; ++i) session.feed(block[i]);
-    if (profiler) {
-      feed_s += std::chrono::duration<double>(ProfClock::now() - t0).count();
-      profiler->add_progress(pulled);
-    }
-  }
-  if (profiler && batches > 0) {
-    profiler->record_stage("source_pull", pull_s, batches);
-    profiler->record_stage("engine_feed", feed_s, batches);
-  }
+  ReplaySession session(*this, workload_name, telemetry_stage(model_.timing));
+  pump(source, profiler(), [&](const Request& req) { session.feed(req); });
   return session.finish();
 }
 

@@ -24,9 +24,9 @@ class Recorder;
 /// hits, refresh blocking and photonic region-switch penalties, and
 /// charged per-bit dynamic energy plus always-on background power.
 ///
-/// Streaming contract: replay is incremental. MemorySystem::run pulls
-/// one Request at a time from a RequestSource and feeds it to a
-/// ReplaySession, which keeps only O(channels x banks) scheduler state —
+/// Streaming contract: replay is incremental. MemorySystem::run pumps a
+/// RequestSource (memsim::pump) into a ReplaySession one request at a
+/// time, which keeps only O(channels x banks) scheduler state —
 /// never the trace itself — so arbitrarily long streams (multi-million-
 /// request NVMain traces, lazy generator sources) replay in constant
 /// memory. The stream must arrive sorted by arrival_ps: each feed
@@ -111,11 +111,10 @@ class MemorySystem;
 /// schedules one request at a time (verifying the sorted-stream
 /// contract), finish() closes the run and returns the aggregate
 /// statistics. This is the primitive composite engines build on —
-/// hybrid::TieredSystem streams its derived per-tier traffic into two
-/// concurrent sessions without materializing either sub-stream, and
-/// memsim::ShardedEngine runs one session per channel lane and merges
-/// their finish_slice() results. The MemorySystem must outlive the
-/// session.
+/// hybrid::TieredSystem streams its derived per-tier traffic into one
+/// session per tier channel lane without materializing either
+/// sub-stream, and merges their finish_slice() results. The
+/// MemorySystem must outlive the session.
 class ReplaySession {
  public:
   /// `telemetry`, when non-null, receives one RequestEvent per fed
@@ -177,8 +176,10 @@ class MemorySystem final : public Engine {
 
   using Engine::run;
 
-  /// Streams the source through a ReplaySession (see the header comment
-  /// for the streaming contract).
+  /// Streams the source through one ReplaySession (see the header
+  /// comment for the streaming contract). Always serial: flat direct
+  /// replay is too cheap per request for per-channel sharding to pay
+  /// (see memsim/sharded.hpp), whatever run_threads a spec carries.
   SimStats run(RequestSource& source,
                const std::string& workload_name = "") const override;
 

@@ -1,13 +1,12 @@
 #include "sched/controller.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "prof/profiler.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/ring.hpp"
 
@@ -632,52 +631,16 @@ ScheduledSystem::ScheduledSystem(memsim::DeviceModel model,
 
 memsim::SimStats ScheduledSystem::run(memsim::RequestSource& source,
                                       const std::string& workload_name) const {
-  telemetry::Recorder* recorder = nullptr;
-  if (telemetry::Collector* collector = telemetry()) {
-    recorder = collector->add_stage("", system_.model().timing.channels,
-                                    system_.model().timing.banks_per_channel,
-                                    collector->spec().trace_limit);
+  telemetry::Recorder* recorder = telemetry_stage(system_.model().timing);
+  std::vector<std::unique_ptr<memsim::ShardLane>> lanes;
+  const int channels = system_.model().timing.channels;
+  lanes.reserve(static_cast<std::size_t>(channels));
+  for (int c = 0; c < channels; ++c) {
+    lanes.push_back(std::make_unique<ControllerLane>(system_, config_,
+                                                     workload_name, recorder));
   }
-  if (run_threads_ > 1) {
-    std::vector<std::unique_ptr<memsim::ShardLane>> lanes;
-    const int channels = system_.model().timing.channels;
-    lanes.reserve(static_cast<std::size_t>(channels));
-    for (int c = 0; c < channels; ++c) {
-      lanes.push_back(std::make_unique<ControllerLane>(
-          system_, config_, workload_name, recorder));
-    }
-    return memsim::run_sharded(system_, std::move(lanes), run_threads_,
-                               source, profiler());
-  }
-  Controller controller(system_, config_, workload_name, recorder);
-  memsim::Request block[memsim::kFeedBlockRequests];
-  prof::Profiler* const profiler = this->profiler();
-  using ProfClock = std::chrono::steady_clock;
-  double pull_s = 0.0;
-  double feed_s = 0.0;
-  std::uint64_t batches = 0;
-  for (;;) {
-    ProfClock::time_point t0;
-    if (profiler) t0 = ProfClock::now();
-    const std::size_t pulled =
-        source.next_batch(block, memsim::kFeedBlockRequests);
-    if (pulled == 0) break;
-    if (profiler) {
-      pull_s += std::chrono::duration<double>(ProfClock::now() - t0).count();
-      ++batches;
-      t0 = ProfClock::now();
-    }
-    for (std::size_t i = 0; i < pulled; ++i) controller.feed(block[i]);
-    if (profiler) {
-      feed_s += std::chrono::duration<double>(ProfClock::now() - t0).count();
-      profiler->add_progress(pulled);
-    }
-  }
-  if (profiler && batches > 0) {
-    profiler->record_stage("source_pull", pull_s, batches);
-    profiler->record_stage("engine_feed", feed_s, batches);
-  }
-  return controller.finish();
+  return memsim::run_sharded(system_, std::move(lanes), run_threads_, source,
+                             profiler());
 }
 
 }  // namespace comet::sched

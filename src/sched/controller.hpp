@@ -207,11 +207,17 @@ class ControllerLane final : public memsim::ShardLane {
 };
 
 /// Engine adapter: a flat MemorySystem behind a Controller front-end.
-/// Const and stateless across runs like every Engine — the controller
-/// lives on the stack of each run() call. With run_threads > 1 the run
-/// shards into per-channel ControllerLanes on a worker pool instead of
-/// one serial controller, with bit-identical results (the test gate in
-/// tests/test_sharded.cpp covers every policy).
+/// Const and stateless across runs like every Engine — the controllers
+/// live on the stack of each run() call. Every run replays through one
+/// ControllerLane per channel (memsim::run_sharded): run_threads > 1
+/// spreads the lanes over a worker pool, run_threads <= 1 feeds them
+/// inline on the caller's thread, so a profiled run always reports a
+/// pool (threads 0 when inline) and a "shard_merge" stage, as a hybrid
+/// run does. Results are bit-identical for any thread count and to one
+/// Controller driven over the whole stream (the test gates in
+/// tests/test_sharded.cpp cover every policy). Unlike flat direct
+/// replay, which is always serial, controller work per request is
+/// heavy enough for sharding to pay.
 class ScheduledSystem final : public memsim::Engine {
  public:
   /// Validates both the model and the controller config; `run_threads`

@@ -246,9 +246,10 @@ TEST(Profiler, RequestsPerSecondGuardsDegenerateRuns) {
 // ------------------------------------------------- degenerate sweeps
 
 TEST(DegenerateRuns, ZeroAndSingleRequestAcrossEngineShapes) {
-  // Every engine shape (flat direct, scheduled, sharded, hybrid) at 0
-  // and 1 requests with profiling AND heartbeat enabled: no hangs, no
-  // division blowups, and the simulated counts still add up.
+  // Every engine shape (flat direct, scheduled inline, scheduled on a
+  // worker pool, hybrid) at 0 and 1 requests with profiling AND
+  // heartbeat enabled: no hangs, no division blowups, and the simulated
+  // counts still add up.
   pf::ProfSpec spec = profiling_spec();
   spec.progress_ms = 1;
 
@@ -261,7 +262,8 @@ TEST(DegenerateRuns, ZeroAndSingleRequestAcrossEngineShapes) {
       {"comet", std::nullopt, 1},
       {"comet", sc::ControllerConfig::with_depths(sc::Policy::kFrFcfs, 8, 8),
        1},
-      {"comet", std::nullopt, 4},
+      {"comet", sc::ControllerConfig::with_depths(sc::Policy::kFrFcfs, 8, 8),
+       4},
       {"hybrid-comet", std::nullopt, 1},
   };
   for (const Shape& shape : shapes) {
@@ -379,9 +381,12 @@ TEST(ProfiledBitIdentity, ScheduledEnginesMatchWithProfilingOn) {
 }
 
 TEST(ProfiledBitIdentity, PoolProfileAccountsForEveryRequest) {
+  // Scheduled COMET: the flat engine that still shards across a
+  // threaded LanePool (flat direct replay is always serial).
   const dr::DeviceSpec spec = dr::make_device_spec("comet");
   pf::Profiler profiler(profiling_spec());
-  run_spec(spec, std::nullopt, 4, &profiler);
+  run_spec(spec, sc::ControllerConfig::with_depths(sc::Policy::kFrFcfs, 8, 8),
+           4, &profiler);
   ASSERT_EQ(profiler.pools().size(), 1u);
   const pf::PoolProfile& pool = *profiler.pools()[0];
   EXPECT_EQ(pool.threads, 4);

@@ -4,9 +4,10 @@
 // queues, so admit stalls and write drains actually fire) and thread
 // counts {1, 2, 8}, the sharded engines must reproduce the serial
 // result field for field — exact ==, no tolerances, on every counter,
-// every latency distribution moment and every energy sum. Plus the
-// LanePool mechanics: inline mode, worker-error propagation, and the
-// run_threads resolution rules.
+// every latency distribution moment and every energy sum — and the
+// per-channel controller lanes must reproduce one sched::Controller
+// driven over the whole stream. Plus the LanePool mechanics: inline
+// mode, worker-error propagation, and the run_threads resolution rules.
 
 #include <gtest/gtest.h>
 
@@ -141,21 +142,36 @@ TEST(ShardedBitIdentity, EveryHybridRegistryDeviceEveryPolicyEveryThreadCount) {
   }
 }
 
-TEST(ShardedBitIdentity, ShardedEngineMatchesMemorySystemDirectly) {
-  const ms::DeviceModel model = dr::make_device("comet");
-  const ms::MemorySystem serial(model);
-  const ms::SimStats reference = serial.run(shared_trace(), "gcc_like");
-  for (const int threads : {1, 2, 8}) {
-    const ms::ShardedEngine sharded(model, threads);
-    expect_identical(reference, sharded.run(shared_trace(), "gcc_like"),
-                     "comet/t" + std::to_string(threads));
+TEST(ShardedBitIdentity, ScheduledSystemMatchesOneControllerOverTheStream) {
+  // The reference is one sched::Controller spanning every channel, fed
+  // the whole stream in arrival order: ScheduledSystem's per-channel
+  // lanes must reproduce it at any thread count, inline included.
+  for (const auto& token : dr::known_devices()) {
+    const ms::DeviceModel model = dr::make_device(token);
+    const ms::MemorySystem system(model);
+    for (const auto& info : sc::known_policies()) {
+      const auto config = sc::ControllerConfig::with_depths(info.policy, 8, 8);
+      sc::Controller controller(system, config, "gcc_like");
+      for (const ms::Request& request : shared_trace()) {
+        controller.feed(request);
+      }
+      const ms::SimStats reference = controller.finish();
+      for (const int threads : {1, 2, 8}) {
+        const sc::ScheduledSystem scheduled(model, config, threads);
+        expect_identical(reference, scheduled.run(shared_trace(), "gcc_like"),
+                         token + "/" + info.name + "/t" +
+                             std::to_string(threads));
+      }
+    }
   }
 }
 
 // --------------------------------------------------------- contracts
 
 TEST(ShardedContract, UnsortedStreamThrowsWithSerialDiagnostics) {
-  const ms::ShardedEngine sharded(dr::make_device("comet"), 2);
+  const sc::ScheduledSystem sharded(
+      dr::make_device("comet"),
+      sc::ControllerConfig::with_depths(sc::Policy::kFrFcfs, 8, 8), 2);
   std::vector<ms::Request> requests = {
       ms::Request{.id = 0, .arrival_ps = 100, .op = ms::Op::kRead,
                   .address = 0, .size_bytes = 64},

@@ -2,9 +2,10 @@
 // and owned), PacedSource determinism and contracts, address-mapping
 // disjointness, the fairness arithmetic edge cases from the issue
 // (single tenant, zero-request tenants, saturated baselines), the
-// two-tenant end-to-end acceptance run, and serial-vs-sharded
+// two-tenant end-to-end acceptance run, serial-vs-sharded
 // bit-identity of tenant breakdowns for every controller policy —
-// fairness variants included.
+// fairness variants included — and per-tenant accounting behind the
+// hybrid DRAM-cache tier.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 
 #include "config/tenant_spec.hpp"
 #include "driver/registry.hpp"
+#include "hybrid/tiered_system.hpp"
 #include "memsim/source.hpp"
 #include "memsim/system.hpp"
 #include "memsim/trace_gen.hpp"
@@ -26,6 +28,7 @@
 
 namespace cf = comet::config;
 namespace dr = comet::driver;
+namespace hy = comet::hybrid;
 namespace ms = comet::memsim;
 namespace sc = comet::sched;
 namespace tn = comet::tenant;
@@ -396,6 +399,82 @@ TEST(MultiTenantShardingTest, SerialAndShardedBreakdownsAreBitIdentical) {
     EXPECT_EQ(serial.max_slowdown, sharded.max_slowdown) << label;
     EXPECT_EQ(serial.fairness_index, sharded.fairness_index) << label;
   }
+}
+
+// ---------------------------------------------- hybrid backend (tenants)
+
+TEST(MultiTenantHybridTest, PerTenantCountsTileTheDemandAtEveryThreadCount) {
+  // hybrid-comet with a fairness-aware backend controller: the cache
+  // filter counts each tenant's demand requests, derived tier traffic
+  // keeps the tenant tag, and the breakdown is bit-identical however
+  // many lane workers replay the tiers.
+  const tn::MultiTenantJob job = two_tenant_job();
+  const dr::DeviceSpec spec = dr::make_device_spec("hybrid-comet");
+  const auto config =
+      sc::ControllerConfig::with_depths(sc::Policy::kFrFcfsCap, 8, 8);
+  std::optional<ms::SimStats> first;
+  for (const int threads : {1, 2, 8}) {
+    auto engine = spec.make_engine(config, threads);
+    const ms::SimStats stats = tn::run_multi_tenant(*engine, job);
+    const std::string label = "t" + std::to_string(threads);
+    ASSERT_EQ(stats.tenants.size(), 2u) << label;
+    std::uint64_t requests = 0;
+    std::uint64_t bytes = 0;
+    for (const auto& tenant : stats.tenants) {
+      EXPECT_EQ(tenant.requests(), 2000u) << label;
+      EXPECT_GT(tenant.latency_ns.count(), 0u) << label;
+      EXPECT_GT(tenant.slowdown, 0.0) << label;
+      requests += tenant.requests();
+      bytes += tenant.bytes_transferred;
+    }
+    EXPECT_EQ(requests, stats.reads + stats.writes) << label;
+    EXPECT_EQ(bytes, stats.bytes_transferred) << label;
+    EXPECT_LT(stats.fairness_index, 1.0) << label;
+    if (!first) {
+      first = stats;
+      continue;
+    }
+    EXPECT_EQ(first->span_ps, stats.span_ps) << label;
+    EXPECT_EQ(first->fairness_index, stats.fairness_index) << label;
+    for (std::size_t i = 0; i < stats.tenants.size(); ++i) {
+      const auto& a = first->tenants[i];
+      const auto& b = stats.tenants[i];
+      EXPECT_EQ(a.reads, b.reads) << label;
+      EXPECT_EQ(a.writes, b.writes) << label;
+      EXPECT_EQ(a.bytes_transferred, b.bytes_transferred) << label;
+      EXPECT_EQ(a.latency_ns.count(), b.latency_ns.count()) << label;
+      EXPECT_EQ(a.latency_ns.sum(), b.latency_ns.sum()) << label;
+      EXPECT_EQ(a.latency_ns.p99(), b.latency_ns.p99()) << label;
+      EXPECT_EQ(a.alone_avg_latency_ns, b.alone_avg_latency_ns) << label;
+      EXPECT_EQ(a.slowdown, b.slowdown) << label;
+    }
+  }
+}
+
+TEST(MultiTenantHybridTest, DerivedTrafficCarriesTheDemandTenant) {
+  // Both tiers see the tenant tags (the backend controller arbitrates
+  // on them), and the combined per-tenant latency merges the tiers'
+  // per-tenant distributions the way the combined latency does.
+  const tn::MultiTenantJob job = two_tenant_job();
+  const hy::TieredSystem tiered(
+      *dr::make_device_spec("hybrid-comet").tiered,
+      sc::ControllerConfig::with_depths(sc::Policy::kFrFcfsCap, 8, 8));
+  const auto stream = tn::make_multi_stream(job);
+  const hy::TieredStats stats = tiered.run_tiered(*stream, "web+batch");
+  ASSERT_EQ(stats.combined.tenants.size(), 2u);
+  ASSERT_EQ(stats.dram.tenants.size(), 2u);
+  ASSERT_EQ(stats.backend.tenants.size(), 2u);
+  std::uint64_t latency_samples = 0;
+  for (std::size_t i = 0; i < 2; ++i) {
+    const std::uint64_t tier_samples =
+        stats.dram.tenants[i].latency_ns.count() +
+        stats.backend.tenants[i].latency_ns.count();
+    EXPECT_EQ(stats.combined.tenants[i].latency_ns.count(), tier_samples);
+    EXPECT_GT(stats.backend.tenants[i].requests(), 0u);
+    latency_samples += tier_samples;
+  }
+  EXPECT_EQ(latency_samples, stats.combined.read_latency_ns.count() +
+                                 stats.combined.write_latency_ns.count());
 }
 
 // -------------------------------------------- fairness policy effects
