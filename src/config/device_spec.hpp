@@ -70,6 +70,7 @@ struct DeviceSpec {
   /// backend behind the cache tier for hybrid specs) and re-validates
   /// the adjusted model. Throws std::logic_error on an empty spec.
   void set_channels(int channels);
+  bool operator==(const DeviceSpec&) const = default;
 };
 
 }  // namespace comet::config

@@ -1,11 +1,12 @@
 #include "config/experiment.hpp"
 
-#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+
+#include "config/fields.hpp"
 
 namespace comet::config {
 
@@ -185,6 +186,11 @@ ExperimentBuilder& ExperimentBuilder::trace(std::string path, double cpu_ghz) {
   return *this;
 }
 
+ExperimentBuilder& ExperimentBuilder::cpu_ghz(double value) {
+  spec_.cpu_ghz = value;
+  return *this;
+}
+
 ExperimentSpec ExperimentBuilder::build() const {
   spec_.validate();
   return spec_;
@@ -201,22 +207,7 @@ ExperimentSpec parse_experiment(const toml::Document& doc,
   if (const toml::Table* experiment = root.child("experiment")) {
     anchor_line = experiment->line;
     TableReader reader(*experiment, doc.source, "[experiment]");
-    if (auto v = reader.get_string("name")) spec.name = *v;
-    if (auto v = reader.get_string_list("devices")) spec.device_tokens = *v;
-    if (auto v = reader.get_string_list("workloads")) spec.workload_names = *v;
-    if (auto v = reader.get_u64_list("requests", 1, SIZE_MAX)) {
-      spec.requests = *v;
-    }
-    if (auto v = reader.get_u64_list("seed")) spec.seeds = *v;
-    if (auto v = reader.get_u64_list("channels", 0, INT_MAX)) {
-      spec.channels.clear();
-      for (const auto c : *v) spec.channels.push_back(int(c));
-    }
-    if (auto v = reader.get_u64("line_bytes", 1, UINT32_MAX)) {
-      spec.line_bytes = std::uint32_t(*v);
-    }
-    if (auto v = reader.get_string("trace_file")) spec.trace_file = *v;
-    if (auto v = reader.get_double("cpu_ghz", 1e-6, 1e6)) spec.cpu_ghz = *v;
+    read_fields(reader, spec);
     reader.finish();
   }
 
@@ -267,98 +258,35 @@ ExperimentSpec parse_experiment_file(const std::string& path,
   return parse_experiment(toml::parse_file(path), resolver);
 }
 
-namespace {
-
-template <typename T, typename Format>
-void write_axis(std::ostream& os, const char* key, const std::vector<T>& axis,
-                Format&& format) {
-  os << key << " = ";
-  if (axis.size() == 1) {
-    os << format(axis.front()) << "\n";
-    return;
-  }
-  os << "[";
-  for (std::size_t i = 0; i < axis.size(); ++i) {
-    os << (i ? ", " : "") << format(axis[i]);
-  }
-  os << "]\n";
-}
-
-std::string format_integer(std::uint64_t v) { return std::to_string(v); }
-
-void write_string_list(std::ostream& os, const char* key,
-                       const std::vector<std::string>& values) {
-  os << key << " = [";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    os << (i ? ", " : "") << toml::format_string(values[i]);
-  }
-  os << "]\n";
-}
-
-}  // namespace
-
 void write_experiment(std::ostream& os, const ExperimentSpec& spec) {
   os << "# comet_sim experiment specification\n"
-     << "[experiment]\n"
-     << "name = " << toml::format_string(spec.name) << "\n";
-  if (!spec.device_tokens.empty()) {
-    write_string_list(os, "devices", spec.device_tokens);
-  }
-  if (!spec.workload_names.empty()) {
-    write_string_list(os, "workloads", spec.workload_names);
-  }
-  write_axis(os, "requests", spec.requests, format_integer);
-  write_axis(os, "seed", spec.seeds, format_integer);
-  write_axis(os, "channels", spec.channels,
-             [](int v) { return std::to_string(v); });
-  os << "line_bytes = " << spec.line_bytes << "\n";
-  if (!spec.trace_file.empty()) {
-    os << "trace_file = " << toml::format_string(spec.trace_file) << "\n"
-       << "cpu_ghz = " << toml::format_float(spec.cpu_ghz) << "\n";
-  }
+     << "[experiment]\n";
+  write_fields(os, spec);
   const bool sharded = spec.run_threads != std::vector<int>{1};
   if (!spec.policies.empty() || sharded) {
     os << "\n[controller]\n";
     if (!spec.policies.empty()) {
-      write_axis(os, "policy", spec.policies, [](sched::Policy policy) {
-        return toml::format_string(sched::policy_name(policy));
-      });
-      os << "read_queue_depth = " << spec.controller.read_queue_depth << "\n"
-         << "write_queue_depth = " << spec.controller.write_queue_depth << "\n"
-         << "drain_high_watermark = " << spec.controller.drain_high_watermark
-         << "\n"
-         << "drain_low_watermark = " << spec.controller.drain_low_watermark
-         << "\n"
-         << "tenant_tokens = " << spec.controller.tenant_tokens << "\n"
-         << "starvation_cap = " << spec.controller.starvation_cap << "\n";
+      std::vector<std::string> names;
+      for (const auto p : spec.policies) {
+        names.emplace_back(sched::policy_name(p));
+      }
+      // A lone policy is a scalar, like the other axes.
+      os << "policy = "
+         << (names.size() == 1 ? format_value(names[0]) : format_value(names))
+         << "\n";
+      write_fields(os, spec.controller);
     }
     if (sharded) {
-      write_axis(os, "run_threads", spec.run_threads,
-                 [](int v) { return std::to_string(v); });
+      os << "run_threads = " << format_value(spec.run_threads) << "\n";
     }
   }
   if (spec.telemetry.enabled()) {
     os << "\n[telemetry]\n";
-    if (spec.telemetry.tracing()) {
-      os << "trace_out = " << toml::format_string(spec.telemetry.trace_path)
-         << "\n"
-         << "trace_limit = " << spec.telemetry.trace_limit << "\n";
-    }
-    if (spec.telemetry.sampling()) {
-      os << "metrics_interval_ns = "
-         << spec.telemetry.metrics_interval_ps / 1000 << "\n";
-      if (!spec.telemetry.metrics_csv.empty()) {
-        os << "metrics_csv = "
-           << toml::format_string(spec.telemetry.metrics_csv) << "\n";
-      }
-    }
+    write_fields(os, spec.telemetry);
   }
   if (spec.profile.profiling() || spec.profile.heartbeat()) {
     os << "\n[profile]\n";
-    if (spec.profile.profiling()) os << "enabled = true\n";
-    if (spec.profile.heartbeat()) {
-      os << "progress_ms = " << spec.profile.progress_ms << "\n";
-    }
+    write_fields(os, spec.profile);
   }
   if (spec.profile.gating()) {
     os << "\n[slo]\n"
@@ -374,23 +302,11 @@ void write_experiment(std::ostream& os, const ExperimentSpec& spec) {
     // by parse already round-trip, programmatic ones re-load sorted.
     for (const auto& tenant : spec.tenants) {
       os << "\n[tenant." << tenant.name << "]\n";
-      if (!tenant.trace_file.empty()) {
-        os << "trace_file = " << toml::format_string(tenant.trace_file)
-           << "\n";
-      } else {
+      if (tenant.trace_file.empty()) {
         os << "workload = " << toml::format_string(tenant.profile.name)
            << "\n";
       }
-      if (tenant.interarrival_ns > 0.0) {
-        os << "interarrival_ns = " << toml::format_float(tenant.interarrival_ns)
-           << "\n";
-      }
-      if (tenant.burstiness > 0.0) {
-        os << "burstiness = " << toml::format_float(tenant.burstiness) << "\n";
-      }
-      if (tenant.requests != 0) {
-        os << "requests = " << tenant.requests << "\n";
-      }
+      write_fields(os, tenant);
     }
   }
   for (const auto& device : spec.devices) {
@@ -399,7 +315,7 @@ void write_experiment(std::ostream& os, const ExperimentSpec& spec) {
   }
   for (const auto& workload : spec.workloads) {
     os << "\n[[workload]]\n";
-    write_workload_body(os, workload);
+    write_fields(os, workload);
   }
 }
 

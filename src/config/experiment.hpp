@@ -14,58 +14,19 @@
 /// seeds, channel overrides and trace files — and expands into the
 /// sweep matrix without touching C++.
 ///
-/// Document shape (`--config`):
+/// Document shape (`--config`); every key of every section, with its
+/// type, range and unit, is a row of the field tables in
+/// config/fields.hpp:
 ///
-///     [experiment]
-///     name = "fig9"
-///     devices = ["comet", "hybrid-comet"]   # registry tokens / all
-///     workloads = ["gcc_like", "lbm_like"]  # profile names / all
-///     requests = 20000                      # scalar or array (axis)
-///     seed = [1, 2, 3]                      # scalar or array (axis)
-///     channels = [8, 16]                    # scalar or array (axis);
-///                                           # 0 keeps the device default
-///     line_bytes = 128
-///
-///     [[device]]                            # inline device definitions
-///     base = "comet"                        # (appended after tokens)
-///     name = "comet-16ch"
-///     [device.timing]
-///     channels = 16
-///
-///     [[workload]]                          # inline workload profiles
-///     name = "scan"
-///     pattern = "streaming"
-///
-///     [controller]                          # scheduled replay (optional)
-///     policy = ["fcfs", "frfcfs"]           # scalar or array (axis)
-///     read_queue_depth = 32                 # 0 = unbounded
-///     write_queue_depth = 32
-///     drain_high_watermark = 28
-///     drain_low_watermark = 12
-///     run_threads = [1, 8]                  # scalar or array (axis);
-///                                           # 0 = hardware threads
-///
-///     [telemetry]                           # observability (optional)
-///     trace_out = "run.trace.json"          # Chrome trace-event JSON
-///     trace_limit = 1000000                 # event cap (0 = unlimited)
-///     metrics_interval_ns = 1000000         # epoch metrics time-series
-///     metrics_csv = "timeline.csv"          # also dump the timeline
-///
-///     [profile]                             # host observability (optional)
-///     enabled = true                        # stage/lane wall profiling
-///     progress_ms = 500                     # live stderr heartbeat
-///
-///     [slo]                                 # run health gates (optional)
-///     assert = "p99_read_ns<=2500"          # violation -> exit 3
-///
-///     [tenant]                              # multi-tenant run (optional)
-///     mapping = "partition"                 # or "interleave"
-///     [tenant.web]                          # one section per stream
-///     workload = "gcc_like"                 # built-in profile name
-///     interarrival_ns = 50.0                # rate override (0 = profile's)
-///     burstiness = 0.5                      # open-loop burst knob [0, 1)
-///     [tenant.batch]
-///     trace_file = "batch.nvt"              # trace tenant
+///     [experiment]      # name, devices/workloads tokens, sweep axes
+///     [[device]]        # inline devices: base + [device.timing] ...
+///     [[workload]]      # inline workload profiles
+///     [controller]      # policy axis, queue knobs, run_threads axis
+///     [telemetry]       # request trace, epoch metrics time-series
+///     [profile]         # host profile, live heartbeat
+///     [slo]             # assert = "p99_read_ns<=2500" -> exit 3
+///     [tenant]          # mapping, then one [tenant.NAME] per stream
+///                       # (workload = "<profile>" or trace_file)
 ///
 /// A `[controller]` holding only `run_threads` shards hybrid tier
 /// replays without engaging scheduling; flat direct replay stays
@@ -142,6 +103,7 @@ struct ExperimentSpec {
   /// a trace file, workloads or a trace file alongside tenants, empty
   /// axes, or an empty inline device.
   void validate() const;
+  bool operator==(const ExperimentSpec&) const = default;
 };
 
 /// Fluent construction of an ExperimentSpec — the programmatic face of
@@ -186,6 +148,10 @@ class ExperimentBuilder {
   ExperimentBuilder& tenant_mapping(TenantMapping mapping);
   ExperimentBuilder& line_bytes(std::uint32_t value);
   ExperimentBuilder& trace(std::string path, double cpu_ghz = 2.0);
+
+  /// Clock of trace cycle stamps, for the run's trace file and for
+  /// trace tenants alike.
+  ExperimentBuilder& cpu_ghz(double value);
 
   /// Validates and returns the spec (throws std::invalid_argument).
   ExperimentSpec build() const;

@@ -1,10 +1,12 @@
 #include "config/serialize.hpp"
 
+#include <algorithm>
 #include <climits>
-#include <cmath>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+
+#include "config/fields.hpp"
 
 namespace comet::config {
 
@@ -92,52 +94,8 @@ std::optional<bool> TableReader::get_bool(const std::string& key) {
   return v->boolean;
 }
 
-std::optional<std::int64_t> TableReader::get_int(const std::string& key,
-                                                 std::int64_t min,
-                                                 std::int64_t max) {
-  const toml::Value* v = find_value(key, toml::Value::Type::kInteger);
-  if (!v) return std::nullopt;
-  if (v->integer < min || v->integer > max) {
-    fail_at(v->line, "'" + key + "' must be between " + std::to_string(min) +
-                         " and " + std::to_string(max) + ", got " +
-                         std::to_string(v->integer));
-  }
-  return v->integer;
-}
-
-std::optional<std::uint64_t> TableReader::get_u64(const std::string& key,
-                                                  std::uint64_t min,
-                                                  std::uint64_t max) {
-  const toml::Value* v = find_value(key, toml::Value::Type::kInteger);
-  if (!v) return std::nullopt;
-  if (v->integer < 0) {
-    fail_at(v->line, "'" + key + "' must be non-negative, got " +
-                         std::to_string(v->integer));
-  }
-  const auto parsed = static_cast<std::uint64_t>(v->integer);
-  if (parsed < min || parsed > max) {
-    fail_at(v->line, "'" + key + "' must be between " + std::to_string(min) +
-                         " and " + std::to_string(max) + ", got " +
-                         std::to_string(parsed));
-  }
-  return parsed;
-}
-
-std::optional<double> TableReader::get_double(const std::string& key,
-                                              double min, double max) {
-  const toml::Value* v = find_value(key, toml::Value::Type::kFloat);
-  if (!v) return std::nullopt;
-  if (!std::isfinite(v->number) || v->number < min || v->number > max) {
-    std::ostringstream msg;
-    msg << "'" << key << "' must be between " << min << " and " << max
-        << ", got " << v->number;
-    fail_at(v->line, msg.str());
-  }
-  return v->number;
-}
-
-std::optional<std::vector<std::uint64_t>> TableReader::get_u64_list(
-    const std::string& key, std::uint64_t min, std::uint64_t max) {
+std::optional<std::vector<const toml::Value*>> TableReader::find_list(
+    const std::string& key, toml::Value::Type type, const char* expects) {
   const auto it = table_.values.find(key);
   if (it == table_.values.end()) {
     if (has(key)) fail_at(key_line(key), "'" + key + "' must be a value");
@@ -145,53 +103,47 @@ std::optional<std::vector<std::uint64_t>> TableReader::get_u64_list(
   }
   consumed_.insert(key);
   const toml::Value& value = it->second;
-  const auto check = [&](const toml::Value& v) -> std::uint64_t {
-    if (v.type != toml::Value::Type::kInteger) {
-      fail_at(v.line, "'" + key + "' expects an integer or an array of "
-                          "integers, got " + std::string(v.type_name()));
+  std::vector<const toml::Value*> out;
+  if (value.type != toml::Value::Type::kArray) out.push_back(&value);
+  for (const auto& element : value.array) out.push_back(&element);
+  for (const toml::Value* v : out) {
+    if (v->type != type) {
+      fail_at(v->line, "'" + key + "' expects " + expects + ", got " +
+                           v->type_name());
     }
-    if (v.integer < 0 || static_cast<std::uint64_t>(v.integer) < min ||
-        static_cast<std::uint64_t>(v.integer) > max) {
-      fail_at(v.line, "'" + key + "' values must be between " +
-                          std::to_string(min) + " and " + std::to_string(max) +
-                          ", got " + std::to_string(v.integer));
-    }
-    return static_cast<std::uint64_t>(v.integer);
-  };
+  }
+  return out;
+}
+
+std::optional<std::vector<std::uint64_t>> TableReader::get_u64_list(
+    const std::string& key, std::uint64_t min, std::uint64_t max) {
+  const auto values = find_list(key, toml::Value::Type::kInteger,
+                                "an integer or an array of integers");
+  if (!values) return std::nullopt;
+  if (values->empty()) {
+    fail_at(key_line(key), "'" + key + "' must not be an empty array");
+  }
   std::vector<std::uint64_t> out;
-  if (value.type == toml::Value::Type::kArray) {
-    if (value.array.empty()) {
-      fail_at(value.line, "'" + key + "' must not be an empty array");
+  for (const toml::Value* v : *values) {
+    const auto u = static_cast<std::uint64_t>(v->integer);
+    if (v->integer < 0 || u < min || u > max) {
+      fail_at(v->line, "'" + key + "' values must be between " +
+                           std::to_string(min) + " and " +
+                           std::to_string(max) + ", got " +
+                           std::to_string(v->integer));
     }
-    for (const auto& element : value.array) out.push_back(check(element));
-  } else {
-    out.push_back(check(value));
+    out.push_back(u);
   }
   return out;
 }
 
 std::optional<std::vector<std::string>> TableReader::get_string_list(
     const std::string& key) {
-  const auto it = table_.values.find(key);
-  if (it == table_.values.end()) {
-    if (has(key)) fail_at(key_line(key), "'" + key + "' must be a value");
-    return std::nullopt;
-  }
-  consumed_.insert(key);
-  const toml::Value& value = it->second;
-  const auto check = [&](const toml::Value& v) -> const std::string& {
-    if (v.type != toml::Value::Type::kString) {
-      fail_at(v.line, "'" + key + "' expects a string or an array of "
-                          "strings, got " + std::string(v.type_name()));
-    }
-    return v.str;
-  };
+  const auto values = find_list(key, toml::Value::Type::kString,
+                                "a string or an array of strings");
+  if (!values) return std::nullopt;
   std::vector<std::string> out;
-  if (value.type == toml::Value::Type::kArray) {
-    for (const auto& element : value.array) out.push_back(check(element));
-  } else {
-    out.push_back(check(value));
-  }
+  for (const toml::Value* v : *values) out.push_back(v->str);
   return out;
 }
 
@@ -242,83 +194,20 @@ void TableReader::finish() {
   }
 }
 
-const char* pattern_name(memsim::Pattern pattern) {
-  switch (pattern) {
-    case memsim::Pattern::kStreaming: return "streaming";
-    case memsim::Pattern::kStrided: return "strided";
-    case memsim::Pattern::kRandom: return "random";
-    case memsim::Pattern::kPointerChase: return "pointer_chase";
-    case memsim::Pattern::kMixed: return "mixed";
-  }
-  return "random";
-}
-
-memsim::Pattern pattern_from_name(const std::string& name) {
-  if (name == "streaming") return memsim::Pattern::kStreaming;
-  if (name == "strided") return memsim::Pattern::kStrided;
-  if (name == "random") return memsim::Pattern::kRandom;
-  if (name == "pointer_chase") return memsim::Pattern::kPointerChase;
-  if (name == "mixed") return memsim::Pattern::kMixed;
-  throw std::invalid_argument(
-      "unknown pattern '" + name +
-      "'; expected streaming, strided, random, pointer_chase or mixed");
+bool cache_policy_from_name(const std::string& name) {
+  return util::find_named(kCachePolicyNames, name, "cache policy").value;
 }
 
 // --- Writers -------------------------------------------------------------
 
-namespace {
-
-const char* kWriteAllocate = "write-allocate";
-const char* kWriteNoAllocate = "write-no-allocate";
-
-void write_cache_body(std::ostream& os, const hybrid::DramCacheConfig& cache) {
-  os << "capacity_bytes = " << cache.capacity_bytes << "\n"
-     << "ways = " << cache.ways << "\n"
-     << "line_bytes = " << cache.line_bytes << "\n"
-     << "policy = "
-     << toml::format_string(cache.write_allocate ? kWriteAllocate
-                                                 : kWriteNoAllocate)
-     << "\n";
-}
-
-}  // namespace
-
 void write_device_model_body(std::ostream& os, const memsim::DeviceModel& model,
                              const std::string& prefix) {
   os << "name = " << toml::format_string(model.name) << "\n"
-     << "capacity_bytes = " << model.capacity_bytes << "\n";
-
-  const auto& t = model.timing;
-  os << "\n[" << prefix << ".timing]\n"
-     << "channels = " << t.channels << "\n"
-     << "banks_per_channel = " << t.banks_per_channel << "\n"
-     << "line_bytes = " << t.line_bytes << "\n"
-     << "line_striped_across_banks = "
-     << toml::format_boolean(t.line_striped_across_banks) << "\n"
-     << "accesses_per_line = " << t.accesses_per_line << "\n"
-     << "read_occupancy_ps = " << t.read_occupancy_ps << "\n"
-     << "write_occupancy_ps = " << t.write_occupancy_ps << "\n"
-     << "burst_ps = " << t.burst_ps << "\n"
-     << "interface_ps = " << t.interface_ps << "\n"
-     << "read_tail_ps = " << t.read_tail_ps << "\n"
-     << "write_tail_ps = " << t.write_tail_ps << "\n"
-     << "has_row_buffer = " << toml::format_boolean(t.has_row_buffer) << "\n"
-     << "row_size_bytes = " << t.row_size_bytes << "\n"
-     << "row_hit_saving_ps = " << t.row_hit_saving_ps << "\n"
-     << "refresh_interval_ps = " << t.refresh_interval_ps << "\n"
-     << "refresh_duration_ps = " << t.refresh_duration_ps << "\n"
-     << "region_size_bytes = " << t.region_size_bytes << "\n"
-     << "region_switch_ps = " << t.region_switch_ps << "\n"
-     << "queue_depth = " << t.queue_depth << "\n";
-
-  const auto& e = model.energy;
-  os << "\n[" << prefix << ".energy]\n"
-     << "read_pj_per_bit = " << toml::format_float(e.read_pj_per_bit) << "\n"
-     << "write_pj_per_bit = " << toml::format_float(e.write_pj_per_bit) << "\n"
-     << "background_power_w = " << toml::format_float(e.background_power_w)
-     << "\n"
-     << "gateable_background_power_w = "
-     << toml::format_float(e.gateable_background_power_w) << "\n";
+     << "capacity_bytes = " << model.capacity_bytes << "\n"
+     << "\n[" << prefix << ".timing]\n";
+  write_fields(os, model.timing);
+  os << "\n[" << prefix << ".energy]\n";
+  write_fields(os, model.energy);
 }
 
 void write_device_spec_body(std::ostream& os, const DeviceSpec& spec,
@@ -337,25 +226,11 @@ void write_device_spec_body(std::ostream& os, const DeviceSpec& spec,
   os << "kind = \"hybrid\"\n"
      << "name = " << toml::format_string(tiered.name) << "\n";
   os << "\n[" << prefix << ".cache]\n";
-  write_cache_body(os, tiered.cache);
+  write_fields(os, tiered.cache);
   os << "\n[" << prefix << ".dram]\n";
   write_device_model_body(os, tiered.dram, prefix + ".dram");
   os << "\n[" << prefix << ".backend]\n";
   write_device_model_body(os, tiered.backend, prefix + ".backend");
-}
-
-void write_workload_body(std::ostream& os,
-                         const memsim::WorkloadProfile& profile) {
-  os << "name = " << toml::format_string(profile.name) << "\n"
-     << "pattern = " << toml::format_string(pattern_name(profile.pattern))
-     << "\n"
-     << "read_fraction = " << toml::format_float(profile.read_fraction) << "\n"
-     << "locality = " << toml::format_float(profile.locality) << "\n"
-     << "zipf_exponent = " << toml::format_float(profile.zipf_exponent) << "\n"
-     << "working_set_bytes = " << profile.working_set_bytes << "\n"
-     << "avg_interarrival_ns = "
-     << toml::format_float(profile.avg_interarrival_ns) << "\n"
-     << "stride_bytes = " << profile.stride_bytes << "\n";
 }
 
 std::string device_spec_to_toml(const DeviceSpec& spec) {
@@ -368,7 +243,7 @@ std::string device_spec_to_toml(const DeviceSpec& spec) {
 std::string workload_to_toml(const memsim::WorkloadProfile& profile) {
   std::ostringstream os;
   os << "[workload]\n";
-  write_workload_body(os, profile);
+  write_fields(os, profile);
   return os.str();
 }
 
@@ -385,10 +260,13 @@ void apply_model_keys(TableReader& reader, memsim::DeviceModel& model,
   if (include_name) {
     if (auto name = reader.get_string("name")) model.name = *name;
   }
-  const bool has_bytes = reader.has("capacity_bytes");
-  if (auto v = reader.get_u64("capacity_bytes", 1)) model.capacity_bytes = *v;
-  if (auto v = reader.get_u64("capacity_gb", 1, 1ull << 33)) {
-    if (has_bytes) {
+  if (auto v = reader.get_number<std::uint64_t>("capacity_bytes", 1,
+                                                 UINT64_MAX)) {
+    model.capacity_bytes = *v;
+  }
+  if (auto v = reader.get_number<std::uint64_t>("capacity_gb", 1,
+                                                 1ull << 33)) {
+    if (reader.has("capacity_bytes")) {
       reader.fail_at(reader.key_line("capacity_gb"),
                      "'capacity_gb' and 'capacity_bytes' are mutually "
                      "exclusive");
@@ -398,54 +276,12 @@ void apply_model_keys(TableReader& reader, memsim::DeviceModel& model,
 
   if (const toml::Table* timing = reader.child("timing")) {
     TableReader t(*timing, reader.source(), reader.section() + ".timing");
-    auto& m = model.timing;
-    if (auto v = t.get_int("channels", 1, INT_MAX)) m.channels = int(*v);
-    if (auto v = t.get_int("banks_per_channel", 1, INT_MAX)) {
-      m.banks_per_channel = int(*v);
-    }
-    if (auto v = t.get_u64("line_bytes", 1, UINT32_MAX)) {
-      m.line_bytes = std::uint32_t(*v);
-    }
-    if (auto v = t.get_bool("line_striped_across_banks")) {
-      m.line_striped_across_banks = *v;
-    }
-    if (auto v = t.get_int("accesses_per_line", 1, INT_MAX)) {
-      m.accesses_per_line = int(*v);
-    }
-    if (auto v = t.get_u64("read_occupancy_ps")) m.read_occupancy_ps = *v;
-    if (auto v = t.get_u64("write_occupancy_ps")) m.write_occupancy_ps = *v;
-    if (auto v = t.get_u64("burst_ps")) m.burst_ps = *v;
-    if (auto v = t.get_u64("interface_ps")) m.interface_ps = *v;
-    if (auto v = t.get_u64("read_tail_ps")) m.read_tail_ps = *v;
-    if (auto v = t.get_u64("write_tail_ps")) m.write_tail_ps = *v;
-    if (auto v = t.get_bool("has_row_buffer")) m.has_row_buffer = *v;
-    if (auto v = t.get_u64("row_size_bytes")) m.row_size_bytes = *v;
-    if (auto v = t.get_u64("row_hit_saving_ps")) m.row_hit_saving_ps = *v;
-    if (auto v = t.get_u64("refresh_interval_ps")) m.refresh_interval_ps = *v;
-    if (auto v = t.get_u64("refresh_duration_ps")) m.refresh_duration_ps = *v;
-    if (auto v = t.get_u64("region_size_bytes")) m.region_size_bytes = *v;
-    if (auto v = t.get_u64("region_switch_ps")) m.region_switch_ps = *v;
-    if (auto v = t.get_int("queue_depth", 1, INT_MAX)) {
-      m.queue_depth = int(*v);
-    }
+    read_fields(t, model.timing);
     t.finish();
   }
-
   if (const toml::Table* energy = reader.child("energy")) {
     TableReader e(*energy, reader.source(), reader.section() + ".energy");
-    auto& m = model.energy;
-    if (auto v = e.get_double("read_pj_per_bit", 0.0, 1e9)) {
-      m.read_pj_per_bit = *v;
-    }
-    if (auto v = e.get_double("write_pj_per_bit", 0.0, 1e9)) {
-      m.write_pj_per_bit = *v;
-    }
-    if (auto v = e.get_double("background_power_w", 0.0, 1e6)) {
-      m.background_power_w = *v;
-    }
-    if (auto v = e.get_double("gateable_background_power_w", 0.0, 1e6)) {
-      m.gateable_background_power_w = *v;
-    }
+    read_fields(e, model.energy);
     e.finish();
   }
 }
@@ -494,40 +330,24 @@ memsim::DeviceModel parse_backend(const toml::Table& table,
   return model;
 }
 
-void apply_cache_keys(const toml::Table& table, const std::string& source,
+/// Applies a [..cache] table onto `cache`; true when it sets the
+/// capacity (which re-derives the DRAM tier).
+bool apply_cache_keys(const toml::Table& table, const std::string& source,
                       const std::string& section,
-                      hybrid::DramCacheConfig& cache, bool& capacity_set) {
+                      hybrid::DramCacheConfig& cache) {
   TableReader reader(table, source, section);
-  const bool has_bytes = reader.has("capacity_bytes");
-  if (auto v = reader.get_u64("capacity_bytes", 1)) {
-    cache.capacity_bytes = *v;
-    capacity_set = true;
-  }
-  if (auto v = reader.get_u64("capacity_mb", 1, 1ull << 30)) {
-    if (has_bytes) {
+  read_fields(reader, cache);
+  if (auto v = reader.get_number<std::uint64_t>("capacity_mb", 1,
+                                                 1ull << 30)) {
+    if (reader.has("capacity_bytes")) {
       reader.fail_at(reader.key_line("capacity_mb"),
                      "'capacity_mb' and 'capacity_bytes' are mutually "
                      "exclusive");
     }
     cache.capacity_bytes = *v << 20;
-    capacity_set = true;
-  }
-  if (auto v = reader.get_int("ways", 1, INT_MAX)) cache.ways = int(*v);
-  if (auto v = reader.get_u64("line_bytes", 1, UINT32_MAX)) {
-    cache.line_bytes = std::uint32_t(*v);
-  }
-  if (auto policy = reader.get_string("policy")) {
-    if (*policy == kWriteAllocate) {
-      cache.write_allocate = true;
-    } else if (*policy == kWriteNoAllocate) {
-      cache.write_allocate = false;
-    } else {
-      reader.fail_at(reader.key_line("policy"),
-                     "unknown cache policy '" + *policy + "'; expected " +
-                         kWriteAllocate + " or " + kWriteNoAllocate);
-    }
   }
   reader.finish();
+  return reader.has("capacity_bytes") || reader.has("capacity_mb");
 }
 
 }  // namespace
@@ -580,7 +400,6 @@ DeviceSpec parse_device(const toml::Table& table, const std::string& source,
 
   // --- Hybrid: assemble cache + dram tier + backend.
   hybrid::TieredConfig config;
-  bool cache_capacity_set = false;
 
   if (base_hybrid) {
     config = *base_spec.tiered;
@@ -627,10 +446,10 @@ DeviceSpec parse_device(const toml::Table& table, const std::string& source,
         base_hybrid ? &base_spec.tiered->backend : nullptr);
   }
 
-  if (cache_table) {
-    apply_cache_keys(*cache_table, source, reader.section() + ".cache",
-                     config.cache, cache_capacity_set);
-  }
+  const bool cache_capacity_set =
+      cache_table && apply_cache_keys(*cache_table, source,
+                                      reader.section() + ".cache",
+                                      config.cache);
 
   // The DRAM tier is derived from the cache capacity (HBM-class model
   // scaled to size) unless the document pins it down explicitly.
@@ -669,35 +488,9 @@ DeviceSpec parse_device_file(const std::string& path,
 memsim::WorkloadProfile parse_workload(const toml::Table& table,
                                        const std::string& source) {
   TableReader reader(table, source, "[workload]");
+  if (!reader.has("name")) reader.fail("'name' is required");
   memsim::WorkloadProfile profile;
-  if (auto name = reader.get_string("name")) {
-    profile.name = *name;
-  } else {
-    reader.fail("'name' is required");
-  }
-  if (auto pattern = reader.get_string("pattern")) {
-    try {
-      profile.pattern = pattern_from_name(*pattern);
-    } catch (const std::exception& e) {
-      reader.fail_at(reader.key_line("pattern"), e.what());
-    }
-  }
-  if (auto v = reader.get_double("read_fraction", 0.0, 1.0)) {
-    profile.read_fraction = *v;
-  }
-  if (auto v = reader.get_double("locality", 0.0, 1.0)) profile.locality = *v;
-  if (auto v = reader.get_double("zipf_exponent", 0.0, 16.0)) {
-    profile.zipf_exponent = *v;
-  }
-  if (auto v = reader.get_u64("working_set_bytes", 1)) {
-    profile.working_set_bytes = *v;
-  }
-  if (auto v = reader.get_double("avg_interarrival_ns", 1e-6, 1e12)) {
-    profile.avg_interarrival_ns = *v;
-  }
-  if (auto v = reader.get_u64("stride_bytes", 1, UINT32_MAX)) {
-    profile.stride_bytes = std::uint32_t(*v);
-  }
+  read_fields(reader, profile);
   reader.finish();
   return profile;
 }
@@ -709,20 +502,14 @@ void parse_controller_section(const toml::Table& table,
                               std::vector<int>& run_threads) {
   TableReader reader(table, source, "[controller]");
   if (auto threads = reader.get_u64_list("run_threads", 0, INT_MAX)) {
-    if (threads->empty()) {
-      reader.fail_at(reader.key_line("run_threads"),
-                     "'run_threads' must list at least one thread count");
-    }
-    run_threads.clear();
-    for (const auto t : *threads) run_threads.push_back(int(t));
+    run_threads.assign(threads->begin(), threads->end());
   }
   // A section that only shards (run_threads alone) does not engage the
-  // scheduler: the replay stays direct. Any scheduling key does.
+  // scheduler: the replay stays direct. `policy` or any knob does.
+  const auto& knobs = Schema<sched::ControllerConfig>::fields;
   const bool scheduling =
-      reader.has("policy") || reader.has("read_queue_depth") ||
-      reader.has("write_queue_depth") || reader.has("drain_high_watermark") ||
-      reader.has("drain_low_watermark") || reader.has("tenant_tokens") ||
-      reader.has("starvation_cap");
+      reader.has("policy") ||
+      std::ranges::any_of(knobs, [&](auto& f) { return reader.has(f.key); });
   policies.clear();
   if (!scheduling) {
     reader.finish();
@@ -744,35 +531,20 @@ void parse_controller_section(const toml::Table& table,
     policies.push_back(sched::Policy::kFcfs);
   }
   config.policy = policies.front();
-
-  const bool depth_given = reader.has("write_queue_depth");
-  if (auto v = reader.get_int("read_queue_depth", 0, INT_MAX)) {
-    config.read_queue_depth = int(*v);
-  }
-  if (auto v = reader.get_int("write_queue_depth", 0, INT_MAX)) {
-    config.write_queue_depth = int(*v);
-  }
+  read_fields(reader, config);
   // A document that bounds the write queue wants watermarks scaled to
   // that bound, not left at the depth-32 defaults; explicit watermark
-  // keys below then override the derived values — the same semantics
-  // as the --write-q/--drain-* CLI flags.
-  if (depth_given) {
+  // keys keep their values — the same semantics as the
+  // --write-q/--drain-* CLI flags.
+  if (reader.has("write_queue_depth")) {
     const auto derived = sched::ControllerConfig::with_depths(
         config.policy, config.read_queue_depth, config.write_queue_depth);
-    config.drain_high_watermark = derived.drain_high_watermark;
-    config.drain_low_watermark = derived.drain_low_watermark;
-  }
-  if (auto v = reader.get_int("drain_high_watermark", 1, INT_MAX)) {
-    config.drain_high_watermark = int(*v);
-  }
-  if (auto v = reader.get_int("drain_low_watermark", 0, INT_MAX)) {
-    config.drain_low_watermark = int(*v);
-  }
-  if (auto v = reader.get_int("tenant_tokens", 1, INT_MAX)) {
-    config.tenant_tokens = int(*v);
-  }
-  if (auto v = reader.get_int("starvation_cap", 1, INT_MAX)) {
-    config.starvation_cap = int(*v);
+    if (!reader.has("drain_high_watermark")) {
+      config.drain_high_watermark = derived.drain_high_watermark;
+    }
+    if (!reader.has("drain_low_watermark")) {
+      config.drain_low_watermark = derived.drain_low_watermark;
+    }
   }
   reader.finish();
   validated(reader, table.line, [&] { config.validate(); });
@@ -782,21 +554,12 @@ void parse_telemetry_section(const toml::Table& table,
                              const std::string& source,
                              telemetry::TelemetrySpec& spec) {
   TableReader reader(table, source, "[telemetry]");
-  if (auto v = reader.get_string("trace_out")) spec.trace_path = *v;
-  if (auto v = reader.get_u64("trace_limit")) {
-    if (spec.trace_path.empty()) {
-      reader.fail_at(reader.key_line("trace_limit"),
-                     "'trace_limit' requires 'trace_out'; there is no event "
-                     "budget to cap without a trace");
-    }
-    spec.trace_limit = *v;
+  read_fields(reader, spec);
+  if (reader.has("trace_limit") && spec.trace_path.empty()) {
+    reader.fail_at(reader.key_line("trace_limit"),
+                   "'trace_limit' requires 'trace_out'; there is no event "
+                   "budget to cap without a trace");
   }
-  // Documents speak nanoseconds (like every other latency knob); the
-  // spec stores picoseconds like the replay clock.
-  if (auto v = reader.get_u64("metrics_interval_ns", 1, UINT64_MAX / 1000)) {
-    spec.metrics_interval_ps = *v * 1000;
-  }
-  if (auto v = reader.get_string("metrics_csv")) spec.metrics_csv = *v;
   reader.finish();
   validated(reader, table.line, [&] { spec.validate(); });
 }
@@ -804,8 +567,7 @@ void parse_telemetry_section(const toml::Table& table,
 void parse_profile_section(const toml::Table& table, const std::string& source,
                            prof::ProfSpec& spec) {
   TableReader reader(table, source, "[profile]");
-  if (auto v = reader.get_bool("enabled")) spec.profile = *v;
-  if (auto v = reader.get_u64("progress_ms", 1)) spec.progress_ms = *v;
+  read_fields(reader, spec);
   reader.finish();
   validated(reader, table.line, [&] { spec.validate(); });
 }
@@ -854,12 +616,7 @@ void parse_tenant_section(const toml::Table& table, const std::string& source,
         t.fail_at(t.key_line("workload"), e.what());
       }
     }
-    if (auto v = t.get_string("trace_file")) spec.trace_file = *v;
-    if (auto v = t.get_double("interarrival_ns", 0.0, 1e12)) {
-      spec.interarrival_ns = *v;
-    }
-    if (auto v = t.get_double("burstiness", 0.0, 1.0)) spec.burstiness = *v;
-    if (auto v = t.get_u64("requests", 1)) spec.requests = *v;
+    read_fields(t, spec);
     t.finish();
     validated(t, child.line, [&] { spec.validate(); });
     tenants.push_back(std::move(spec));

@@ -5,7 +5,9 @@
 #include <iosfwd>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "config/device_spec.hpp"
@@ -55,13 +57,40 @@ class TableReader {
 
   std::optional<std::string> get_string(const std::string& key);
   std::optional<bool> get_bool(const std::string& key);
-  std::optional<std::int64_t> get_int(const std::string& key,
-                                      std::int64_t min, std::int64_t max);
-  std::optional<std::uint64_t> get_u64(const std::string& key,
-                                       std::uint64_t min = 0,
-                                       std::uint64_t max = UINT64_MAX);
-  std::optional<double> get_double(const std::string& key, double min,
-                                   double max);
+  /// A number in [min, max]: T is int, uint32_t, uint64_t or double
+  /// (which also takes integer values). Compares before narrowing.
+  template <typename T>
+  std::optional<T> get_number(const std::string& key, T min, T max) {
+    constexpr bool kReal = std::is_floating_point_v<T>;
+    const toml::Value* v = find_value(
+        key, kReal ? toml::Value::Type::kFloat : toml::Value::Type::kInteger);
+    if (!v) return std::nullopt;
+    if (std::is_unsigned_v<T> && v->integer < 0) {
+      fail_at(v->line, "'" + key + "' must be non-negative, got " +
+                           std::to_string(v->integer));
+    }
+    bool in_range = false;
+    if constexpr (kReal) {
+      in_range = v->number >= min && v->number <= max;
+    } else if constexpr (std::is_signed_v<T>) {
+      in_range = v->integer >= min && v->integer <= max;
+    } else {
+      const auto u = static_cast<std::uint64_t>(v->integer);
+      in_range = u >= min && u <= max;
+    }
+    if (!in_range) {
+      std::ostringstream msg;
+      msg << "'" << key << "' must be between " << min << " and " << max
+          << ", got ";
+      if (kReal) {
+        msg << v->number;
+      } else {
+        msg << v->integer;
+      }
+      fail_at(v->line, msg.str());
+    }
+    return kReal ? T(v->number) : T(v->integer);
+  }
 
   /// Scalar-or-array readers for sweep axes: a single value yields a
   /// one-element vector. Every element is range-checked.
@@ -89,6 +118,10 @@ class TableReader {
  private:
   const toml::Value* find_value(const std::string& key,
                                 toml::Value::Type expected);
+  /// The elements of a scalar-or-array value (a scalar is one), each
+  /// of `type`; `expects` names the shape in the type diagnostic.
+  std::optional<std::vector<const toml::Value*>> find_list(
+      const std::string& key, toml::Value::Type type, const char* expects);
 
   const toml::Table& table_;
   std::string source_;
@@ -96,13 +129,9 @@ class TableReader {
   std::set<std::string> consumed_;
 };
 
-// --- Pattern names ("streaming", "strided", "random", "pointer_chase",
-// --- "mixed") used by workload documents.
-
-const char* pattern_name(memsim::Pattern pattern);
-
-/// Throws std::invalid_argument naming the valid set on unknown names.
-memsim::Pattern pattern_from_name(const std::string& name);
+/// The write_allocate flag of a cache-policy token ([..cache] `policy`,
+/// --cache-policy); throws std::invalid_argument on unknown tokens.
+bool cache_policy_from_name(const std::string& name);
 
 // --- Writers. The *_body forms assume the caller has just emitted the
 // --- section header (`[prefix]` or `[[prefix]]`) and write the keys
@@ -116,9 +145,6 @@ void write_device_model_body(std::ostream& os, const memsim::DeviceModel& model,
 /// Throws std::logic_error on an empty spec.
 void write_device_spec_body(std::ostream& os, const DeviceSpec& spec,
                             const std::string& prefix);
-
-void write_workload_body(std::ostream& os,
-                         const memsim::WorkloadProfile& profile);
 
 /// Standalone `[device]` document for one spec — the `--device-file`
 /// input format.
@@ -152,52 +178,44 @@ memsim::WorkloadProfile parse_workload(const toml::Table& table,
                                        const std::string& source);
 
 /// Parses a `[controller]` table into the policy axis, the config
-/// template and the `run_threads` sharding axis (scalar or array;
-/// 0 = one worker per hardware thread). A section holding *only*
-/// `run_threads` does not engage scheduling — `policies` stays empty
-/// and the replay stays direct (sharded for hybrid tiers; flat direct
-/// replay is always serial). Any scheduling key (policy, a queue
-/// depth, a watermark) engages it, with `policy` defaulting to
-/// `{fcfs}` when absent. When only `write_queue_depth`
-/// is given, the drain watermarks are re-derived from it (7/8 and 3/8
-/// of a bounded depth) instead of keeping the depth-32 defaults.
-/// Schema violations and inconsistent watermarks raise
-/// toml::ParseError anchored to the offending line.
+/// template (keys: Schema<ControllerConfig>) and the `run_threads`
+/// axis (0 = one worker per hardware thread). `run_threads` alone does
+/// not engage scheduling: `policies` stays empty and replay stays
+/// direct. `policy` or any knob engages it, `policy` defaulting to
+/// `{fcfs}`. A `write_queue_depth` re-derives the drain watermarks not
+/// given explicitly (7/8 and 3/8 of a bounded depth). Schema
+/// violations and inconsistent watermarks raise toml::ParseError
+/// anchored to the offending line.
 void parse_controller_section(const toml::Table& table,
                               const std::string& source,
                               std::vector<sched::Policy>& policies,
                               sched::ControllerConfig& config,
                               std::vector<int>& run_threads);
 
-/// Parses a `[telemetry]` table: `trace_out` (path), `trace_limit`
-/// (recorded-event cap, requires trace_out), `metrics_interval_ns`
-/// (epoch length of the metrics time-series) and `metrics_csv` (path,
-/// requires an interval). Keys override the spec's defaults in place.
-/// Schema violations and inconsistent combinations raise
-/// toml::ParseError anchored to the offending line.
+/// Parses a `[telemetry]` table (keys: Schema<TelemetrySpec>) over the
+/// spec's defaults; `trace_limit` requires `trace_out`. Schema
+/// violations and inconsistent combinations raise toml::ParseError
+/// anchored to the offending line.
 void parse_telemetry_section(const toml::Table& table,
                              const std::string& source,
                              telemetry::TelemetrySpec& spec);
 
 /// Parses a `[tenant]` table into the multi-tenant stream list: an
-/// optional `mapping = "partition" | "interleave"` scalar plus one
-/// `[tenant.NAME]` sub-section per stream (keys: `workload` — a
-/// built-in profile name —, `trace_file`, `interarrival_ns`,
-/// `burstiness`, `requests`). Streams are ordered by name (the TOML
-/// subset does not preserve section order), which fixes the 1-based
-/// tenant ids and per-tenant seeds deterministically. At least one
-/// stream is required; schema violations, unknown profiles and
-/// cross-tenant inconsistencies raise toml::ParseError anchored to the
-/// offending line.
+/// optional `mapping` plus one `[tenant.NAME]` sub-section per stream
+/// (`workload` — a built-in profile name — or the Schema<TenantSpec>
+/// keys). Streams are ordered by name (the TOML subset does not
+/// preserve section order), which fixes the 1-based tenant ids and
+/// per-tenant seeds deterministically. At least one stream is required;
+/// schema violations, unknown profiles and cross-tenant
+/// inconsistencies raise toml::ParseError anchored to the offending
+/// line.
 void parse_tenant_section(const toml::Table& table, const std::string& source,
                           std::vector<TenantSpec>& tenants,
                           TenantMapping& mapping);
 
-/// Parses a `[profile]` table into the host-side observability spec:
-/// `enabled` (record the host profile — the `--profile` flag) and
-/// `progress_ms` (live heartbeat interval, >= 1 — `--progress=N`).
-/// Keys override the spec's defaults in place. Schema violations raise
-/// toml::ParseError anchored to the offending line.
+/// Parses a `[profile]` table (keys: Schema<ProfSpec>) over the spec's
+/// defaults. Schema violations raise toml::ParseError anchored to the
+/// offending line.
 void parse_profile_section(const toml::Table& table, const std::string& source,
                            prof::ProfSpec& spec);
 

@@ -5,21 +5,6 @@
 
 namespace comet::config {
 
-const char* tenant_mapping_name(TenantMapping mapping) {
-  switch (mapping) {
-    case TenantMapping::kPartition: return "partition";
-    case TenantMapping::kInterleave: return "interleave";
-  }
-  return "partition";
-}
-
-TenantMapping tenant_mapping_from_name(const std::string& name) {
-  if (name == "partition") return TenantMapping::kPartition;
-  if (name == "interleave") return TenantMapping::kInterleave;
-  throw std::invalid_argument("unknown tenant mapping '" + name +
-                              "'; expected partition or interleave");
-}
-
 void TenantSpec::validate() const {
   if (name.empty()) {
     throw std::invalid_argument("TenantSpec: tenant name must be non-empty");

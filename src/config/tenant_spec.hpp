@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "memsim/trace_gen.hpp"
+#include "util/names.hpp"
 
 /// Tenant stream descriptions — the data side of the multi-tenant
 /// front-end. The specs live in the config layer (alongside the
@@ -26,11 +27,20 @@ enum class TenantMapping : std::uint8_t {
   kInterleave,
 };
 
+inline constexpr util::Named<TenantMapping> kTenantMappingNames[] = {
+    {"partition", TenantMapping::kPartition},
+    {"interleave", TenantMapping::kInterleave},
+};
+
 /// "partition" | "interleave".
-const char* tenant_mapping_name(TenantMapping mapping);
+inline const char* tenant_mapping_name(TenantMapping mapping) {
+  return util::name_of(kTenantMappingNames, mapping);
+}
 
 /// Throws std::invalid_argument naming the valid set on unknown names.
-TenantMapping tenant_mapping_from_name(const std::string& name);
+inline TenantMapping tenant_mapping_from_name(const std::string& name) {
+  return util::find_named(kTenantMappingNames, name, "tenant mapping").value;
+}
 
 /// One named tenant stream of a multi-tenant run — a [tenant.NAME]
 /// TOML section, or one entry of the CLI's --tenants list.
@@ -55,6 +65,7 @@ struct TenantSpec {
   /// a spec naming neither a workload nor a trace file, burstiness
   /// outside [0, 1), or a negative interarrival override.
   void validate() const;
+  bool operator==(const TenantSpec&) const = default;
 };
 
 /// Validates every spec plus the cross-tenant rule that names are

@@ -405,6 +405,4 @@ std::string format_string(const std::string& s) {
   return out;
 }
 
-std::string format_boolean(bool b) { return b ? "true" : "false"; }
-
 }  // namespace comet::config::toml

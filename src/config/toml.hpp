@@ -104,7 +104,4 @@ std::string format_float(double v);
 /// TOML string literal: double-quoted with \\ \" \n \r \t escapes.
 std::string format_string(const std::string& s);
 
-/// `true` / `false`.
-std::string format_boolean(bool b);
-
 }  // namespace comet::config::toml

@@ -42,23 +42,23 @@ std::uint64_t parse_u64(const std::string& flag, const std::string& value,
   return parsed;
 }
 
-double parse_positive_double(const std::string& flag,
-                             const std::string& value) {
-  // Plain decimal only: no signs, exponents, hex floats, inf/nan or
-  // locale surprises — the same strictness as parse_u64.
-  if (value.empty() ||
-      value.find_first_not_of("0123456789.") != std::string::npos ||
-      value.find('.') != value.rfind('.')) {
-    throw std::invalid_argument(flag + " expects a positive decimal number, "
-                                "got '" + value + "'");
-  }
+/// Plain decimal only (digits, at most one '.', at least one digit):
+/// no signs, exponents, hex floats, inf/nan or locale surprises — the
+/// same strictness as parse_u64. Zero passes only when `positive` is
+/// false; `what` leads the diagnostic.
+double parse_decimal(const std::string& what, const std::string& value,
+                     bool positive) {
   errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (errno != 0 || end != value.c_str() + value.size() ||
-      !std::isfinite(parsed) || parsed <= 0.0) {
-    throw std::invalid_argument(flag + " expects a positive decimal number, "
-                                "got '" + value + "'");
+  const bool plain =
+      value.find_first_of("0123456789") != std::string::npos &&
+      value.find_first_not_of("0123456789.") == std::string::npos &&
+      value.find('.') == value.rfind('.');
+  const double parsed = plain ? std::strtod(value.c_str(), nullptr) : 0.0;
+  if (!plain || errno != 0 || !std::isfinite(parsed) ||
+      (positive && parsed <= 0.0)) {
+    throw std::invalid_argument(what + " expects a " +
+                                (positive ? "positive" : "non-negative") +
+                                " decimal number, got '" + value + "'");
   }
   return parsed;
 }
@@ -184,7 +184,7 @@ Options parse_args(const std::vector<std::string>& args) {
       matrix(flag);
     } else if (flag == "--cache-policy") {
       opt.cache_policy = next();
-      (void)parse_cache_policy(*opt.cache_policy);
+      (void)config::cache_policy_from_name(*opt.cache_policy);
       matrix(flag);
     } else if (flag == "--schedule") {
       opt.schedule = next();
@@ -226,7 +226,7 @@ Options parse_args(const std::vector<std::string>& args) {
       }
       matrix(flag);
     } else if (flag == "--cpu-ghz") {
-      opt.cpu_ghz = parse_positive_double(flag, next());
+      opt.cpu_ghz = parse_decimal(flag, next(), /*positive=*/true);
       matrix(flag);
     } else if (flag == "--dump-trace") {
       opt.dump_trace = next();
@@ -453,19 +453,6 @@ std::vector<config::TenantSpec> tenants_from_options(const Options& options) {
   const char* const shape =
       "--tenants entries look like name=workload[:interarrival_ns"
       "[:burstiness]] or name=@trace-file";
-  // Decimal fields: the parse_positive_double grammar, zero included
-  // (a zero rate/burstiness just keeps the spec's default meaning).
-  const auto parse_decimal = [&](const std::string& what,
-                                 const std::string& value) {
-    if (value.empty() ||
-        value.find_first_not_of("0123456789.") != std::string::npos ||
-        value.find('.') != value.rfind('.')) {
-      throw std::invalid_argument("--tenants: " + what +
-                                  " expects a non-negative decimal number, "
-                                  "got '" + value + "'");
-    }
-    return std::strtod(value.c_str(), nullptr);
-  };
   std::stringstream list(options.tenants);
   std::string entry;
   while (std::getline(list, entry, ',')) {
@@ -498,11 +485,14 @@ std::vector<config::TenantSpec> tenants_from_options(const Options& options) {
         throw std::invalid_argument("--tenants: tenant '" + spec.name +
                                     "': " + e.what());
       }
+      // Zero is fine: a zero rate/burstiness keeps the default meaning.
       if (parts.size() > 1) {
-        spec.interarrival_ns = parse_decimal("interarrival_ns", parts[1]);
+        spec.interarrival_ns =
+            parse_decimal("--tenants: interarrival_ns", parts[1], false);
       }
       if (parts.size() > 2) {
-        spec.burstiness = parse_decimal("burstiness", parts[2]);
+        spec.burstiness =
+            parse_decimal("--tenants: burstiness", parts[2], false);
       }
     }
     tenants.push_back(std::move(spec));

@@ -46,6 +46,8 @@ config::ExperimentSpec experiment_from_options(const Options& options) {
         config::parse_device_file(path, registry_resolver()), overrides));
   }
 
+  // --cpu-ghz clocks trace tenants as well as a run-level trace file.
+  builder.cpu_ghz(options.cpu_ghz);
   const auto tenants = tenants_from_options(options);
   if (!tenants.empty()) {
     for (auto tenant : tenants) builder.tenant(std::move(tenant));

@@ -35,6 +35,7 @@ struct DramCacheConfig {
   /// capacity smaller than one line, non-positive associativity, or a
   /// capacity that does not divide evenly into sets.
   void validate() const;
+  bool operator==(const DramCacheConfig&) const = default;
 };
 
 class DramCache {

@@ -41,6 +41,7 @@ struct TieredConfig {
   /// Validates all three components; additionally rejects an empty name
   /// and a cache at least as large as the backend (that is not a cache).
   void validate() const;
+  bool operator==(const TieredConfig&) const = default;
 };
 
 /// Per-tier view of one tiered replay. `combined` is what the driver

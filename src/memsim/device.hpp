@@ -61,6 +61,7 @@ struct DeviceTiming {
   /// Maximum outstanding requests the controller overlaps per channel
   /// (memory-level parallelism it can exploit).
   int queue_depth = 8;
+  bool operator==(const DeviceTiming&) const = default;
 };
 
 struct DeviceEnergy {
@@ -73,6 +74,7 @@ struct DeviceEnergy {
   /// management ([43] in §IV.C): a run-time policy that idles the laser
   /// and SOAs between accesses. Zero for conventional devices.
   double gateable_background_power_w = 0.0;
+  bool operator==(const DeviceEnergy&) const = default;
 };
 
 /// A complete architecture model handed to MemorySystem.
@@ -85,6 +87,7 @@ struct DeviceModel {
   /// Total system capacity sanity bound; throws std::invalid_argument on
   /// inconsistent topology values.
   void validate() const;
+  bool operator==(const DeviceModel&) const = default;
 };
 
 }  // namespace comet::memsim

@@ -34,6 +34,7 @@ struct WorkloadProfile {
   std::uint64_t working_set_bytes = 1ull << 30;
   double avg_interarrival_ns = 8.0;  ///< Mean time between LLC misses.
   std::uint32_t stride_bytes = 256;  ///< For kStrided.
+  bool operator==(const WorkloadProfile&) const = default;
 };
 
 /// The eight SPEC-like profiles used by the Fig. 9 bench (classes follow

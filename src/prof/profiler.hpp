@@ -55,6 +55,7 @@ struct ProfSpec {
   /// Throws std::invalid_argument on an inconsistent spec (currently:
   /// a heartbeat interval that would truncate to never firing).
   void validate() const;
+  bool operator==(const ProfSpec&) const = default;
 };
 
 /// Accumulated wall time of one named replay stage (source pull, engine

@@ -30,6 +30,7 @@ struct SloPredicate {
 
   /// The predicate back in source form, e.g. "p99_read_ns<=2500".
   std::string to_string() const;
+  bool operator==(const SloPredicate&) const = default;
 };
 
 /// Parses a comma-separated predicate list. Throws std::invalid_argument

@@ -8,30 +8,20 @@
 #include <vector>
 
 #include "telemetry/telemetry.hpp"
+#include "util/names.hpp"
 #include "util/ring.hpp"
 
 namespace comet::sched {
 
 const char* policy_name(Policy policy) {
-  switch (policy) {
-    case Policy::kFcfs: return "fcfs";
-    case Policy::kFrFcfs: return "frfcfs";
-    case Policy::kReadFirst: return "read-first";
-    case Policy::kTokenBudget: return "token-budget";
-    case Policy::kFrFcfsCap: return "frfcfs-cap";
+  for (const PolicyInfo& info : known_policies()) {
+    if (info.policy == policy) return info.name;
   }
   return "fcfs";
 }
 
 Policy policy_from_name(const std::string& name) {
-  if (name == "fcfs") return Policy::kFcfs;
-  if (name == "frfcfs") return Policy::kFrFcfs;
-  if (name == "read-first") return Policy::kReadFirst;
-  if (name == "token-budget") return Policy::kTokenBudget;
-  if (name == "frfcfs-cap") return Policy::kFrFcfsCap;
-  throw std::invalid_argument(
-      "unknown scheduling policy '" + name +
-      "'; expected fcfs, frfcfs, read-first, token-budget or frfcfs-cap");
+  return util::find_named(known_policies(), name, "scheduling policy").policy;
 }
 
 const std::vector<PolicyInfo>& known_policies() {

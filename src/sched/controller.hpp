@@ -130,6 +130,7 @@ struct ControllerConfig {
   /// depths are given.
   static ControllerConfig with_depths(Policy policy, int read_queue_depth,
                                       int write_queue_depth);
+  bool operator==(const ControllerConfig&) const = default;
 };
 
 /// Push-mode scheduled replay against one MemorySystem — the

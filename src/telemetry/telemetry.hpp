@@ -58,6 +58,7 @@ struct TelemetrySpec {
   /// Throws std::invalid_argument on a CSV path without a sampling
   /// interval (there would be no timeline to write).
   void validate() const;
+  bool operator==(const TelemetrySpec&) const = default;
 };
 
 /// One request's full lifecycle, as the replay back-end resolved it:

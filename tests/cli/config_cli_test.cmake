@@ -7,9 +7,10 @@
 # Covers: --dump-config → --config round-trips to bit-identical JSON
 # (modulo the config-provenance fields) for a flat and a hybrid device;
 # a custom device defined only in a config file runs end-to-end with no
-# registry edit; the committed example specs stay valid; missing files
-# and schema errors exit 2 with file:line diagnostics; --config rejects
-# matrix flags.
+# registry edit; the committed example specs stay valid and every one of
+# them dumps to a --dump-config fixed point; missing files and schema
+# errors exit 2 with file:line diagnostics; --config rejects matrix
+# flags.
 
 if(NOT DEFINED COMET_SIM OR NOT DEFINED WORK_DIR OR NOT DEFINED EXAMPLES_DIR)
   message(FATAL_ERROR "pass -DCOMET_SIM=..., -DWORK_DIR=... and -DEXAMPLES_DIR=...")
@@ -60,6 +61,11 @@ foreach(device comet hybrid-comet)
   file(READ ${WORK_DIR}/${device}_flags.json from_flags)
   file(READ ${WORK_DIR}/${device}_config.json from_config)
   expect_contains("provenance ${device}" "${from_config}" "${device}.toml")
+  expect_contains("provenance ${device}" "${from_config}"
+                  "\"config_file\": \"${WORK_DIR}/${device}.toml\"")
+  string(REGEX MATCHALL "\"device\": " records "${from_config}")
+  list(LENGTH records record_count)
+  expect_rc("config run ${device} record count" "${record_count}" 1)
   strip_provenance("${from_flags}" from_flags)
   strip_provenance("${from_config}" from_config)
   if(NOT from_flags STREQUAL from_config)
@@ -113,6 +119,10 @@ foreach(example comet_16ch hybrid_custom)
   file(READ ${WORK_DIR}/${example}.json json)
   expect_contains("device-file ${example}" "${json}" "\"requests\": 500")
 endforeach()
+file(READ ${WORK_DIR}/hybrid_custom.json json)
+expect_contains("custom hybrid" "${json}" "\"device\": \"hybrid-comet-8ch-wna\"")
+expect_contains("custom hybrid" "${json}" "\"hybrid\": true")
+expect_contains("custom hybrid" "${json}" "\"channels\": 8")
 execute_process(
   COMMAND ${COMET_SIM} --device-file ${EXAMPLES_DIR}/comet_16ch.toml
           --workload gcc_like --requests 200
@@ -176,5 +186,34 @@ execute_process(
 expect_rc("config/schedule conflict" "${rc}" 2)
 expect_contains("config/schedule conflict" "${err}"
                 "--config cannot be combined")
+
+# --- 7. Every committed example dumps to a fixed point: re-loading a
+# ---    --dump-config output and dumping it again is byte-identical.
+file(GLOB examples ${EXAMPLES_DIR}/*.toml)
+foreach(path ${examples})
+  get_filename_component(example ${path} NAME_WE)
+  file(READ ${path} text)
+  string(FIND "${text}" "[experiment]" is_experiment)
+  if(is_experiment EQUAL -1)
+    set(load --device-file ${path} --workload gcc_like)
+  else()
+    set(load --config ${path})
+  endif()
+  execute_process(
+    COMMAND ${COMET_SIM} ${load} --dump-config ${WORK_DIR}/${example}_dump1.toml
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  expect_rc("dump ${example}" "${rc}" 0)
+  execute_process(
+    COMMAND ${COMET_SIM} --config ${WORK_DIR}/${example}_dump1.toml
+            --dump-config ${WORK_DIR}/${example}_dump2.toml
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  expect_rc("re-dump ${example}" "${rc}" 0)
+  file(READ ${WORK_DIR}/${example}_dump1.toml first)
+  file(READ ${WORK_DIR}/${example}_dump2.toml second)
+  if(NOT first STREQUAL second)
+    message(FATAL_ERROR "--dump-config of ${example} is not a fixed point:\n"
+                        "${first}\n--- vs ---\n${second}")
+  endif()
+endforeach()
 
 message(STATUS "config CLI tests passed")

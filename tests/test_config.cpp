@@ -9,9 +9,12 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "config/experiment.hpp"
+#include "config/fields.hpp"
 #include "config/serialize.hpp"
 #include "config/toml.hpp"
 #include "driver/registry.hpp"
@@ -154,28 +157,7 @@ TEST(DeviceSerialization, EveryRegistryDeviceRoundTrips) {
     const DeviceSpec reparsed =
         parse_device(doc.root.children.at("device"), doc.source, nullptr);
 
-    EXPECT_EQ(reparsed.name, original.name) << token;
-    EXPECT_EQ(reparsed.is_hybrid(), original.is_hybrid()) << token;
-    EXPECT_EQ(reparsed.channels(), original.channels()) << token;
-    if (original.is_hybrid()) {
-      EXPECT_EQ(reparsed.tiered->cache.capacity_bytes,
-                original.tiered->cache.capacity_bytes)
-          << token;
-      EXPECT_EQ(reparsed.tiered->cache.ways, original.tiered->cache.ways)
-          << token;
-      EXPECT_EQ(reparsed.tiered->cache.write_allocate,
-                original.tiered->cache.write_allocate)
-          << token;
-      EXPECT_EQ(reparsed.tiered->dram.energy.background_power_w,
-                original.tiered->dram.energy.background_power_w)
-          << token;
-    } else {
-      EXPECT_EQ(reparsed.flat->capacity_bytes, original.flat->capacity_bytes)
-          << token;
-      EXPECT_EQ(reparsed.flat->energy.read_pj_per_bit,
-                original.flat->energy.read_pj_per_bit)
-          << token;
-    }
+    EXPECT_TRUE(reparsed == original) << token << ":\n" << text;
     expect_same_stats(probe(original), probe(reparsed), token);
   }
 }
@@ -305,16 +287,7 @@ TEST(WorkloadSerialization, EveryProfileRoundTrips) {
     const auto doc = toml::parse_string(text, profile.name + ".toml");
     const auto reparsed =
         parse_workload(doc.root.children.at("workload"), doc.source);
-    EXPECT_EQ(reparsed.name, profile.name);
-    EXPECT_EQ(reparsed.pattern, profile.pattern) << profile.name;
-    EXPECT_EQ(reparsed.read_fraction, profile.read_fraction) << profile.name;
-    EXPECT_EQ(reparsed.locality, profile.locality) << profile.name;
-    EXPECT_EQ(reparsed.zipf_exponent, profile.zipf_exponent) << profile.name;
-    EXPECT_EQ(reparsed.working_set_bytes, profile.working_set_bytes)
-        << profile.name;
-    EXPECT_EQ(reparsed.avg_interarrival_ns, profile.avg_interarrival_ns)
-        << profile.name;
-    EXPECT_EQ(reparsed.stride_bytes, profile.stride_bytes) << profile.name;
+    EXPECT_TRUE(reparsed == profile) << profile.name << ":\n" << text;
   }
 }
 
@@ -903,6 +876,207 @@ TEST(ExperimentApi, TenantExperimentRoundTripsThroughToml) {
           {"--device", "comet", "--workload", "gcc_like"})));
   EXPECT_EQ(comet::config::experiment_to_toml(plain).find("[tenant]"),
             std::string::npos);
+}
+
+// --- Field tables --------------------------------------------------------
+
+using comet::config::ExperimentSpec;
+namespace cf = comet::config;
+
+/// Moves one table field of `s` to its `nth` distinctive in-range value
+/// that differs from the current one; false when that candidate does
+/// not exist (the caller then tries the next).
+template <typename S>
+struct Mutate {
+  S& s;
+  std::size_t nth;
+
+  template <typename T>
+  bool operator()(const cf::Ranged<S, T>& f) const {
+    T& value = s.*f.member;
+    const T cur = value / f.scale;
+    T candidates[4];
+    if constexpr (std::is_floating_point_v<T>) {
+      candidates[0] = (cur + f.max) / 2;
+      candidates[1] = (cur + f.min) / 2;
+    } else {
+      candidates[0] = cur <= f.max / 2 ? T(cur * 2) : f.max;
+      candidates[1] = cur < f.max ? T(cur + 1) : f.min;
+    }
+    candidates[2] = f.max;
+    candidates[3] = f.min;
+    if (nth >= 4 || candidates[nth] == cur) return false;
+    value = T(candidates[nth] * f.scale);
+    return true;
+  }
+  /// A sweep axis grows by one element (exercising the array form).
+  template <typename E>
+  bool operator()(const cf::Axis<S, E>& f) const {
+    if (nth > 0) return false;
+    auto& axis = s.*f.member;
+    axis.push_back(axis.back() < f.max ? axis.back() + 1 : f.min);
+    return true;
+  }
+  template <typename T>
+  bool operator()(const cf::Plain<S, T>& f) const {
+    if (nth > 0) return false;
+    if constexpr (std::is_same_v<T, bool>) {
+      s.*f.member = !(s.*f.member);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      s.*f.member += "x";
+    } else {
+      (s.*f.member).push_back("x");
+    }
+    return true;
+  }
+  template <typename E>
+  bool operator()(const cf::Choice<S, E>& f) const {
+    if (nth >= f.names.size() || f.names[nth].value == s.*f.member) {
+      return false;
+    }
+    s.*f.member = f.names[nth].value;
+    return true;
+  }
+};
+
+ExperimentSpec reparse(const ExperimentSpec& spec) {
+  ExperimentSpec reparsed = cf::parse_experiment(
+      toml::parse_string(cf::experiment_to_toml(spec), "fields.toml"),
+      nullptr);
+  reparsed.source = spec.source;
+  return reparsed;
+}
+
+/// Experiment documents that between them engage every section: a
+/// synthetic sweep with inline flat and hybrid devices, a controller,
+/// telemetry and profiling; a trace replay; and a tenant run.
+std::vector<ExperimentSpec> field_bases() {
+  ExperimentSpec synthetic;
+  synthetic.name = "fields";
+  synthetic.devices = {make_device_spec("comet"),
+                       make_device_spec("hybrid-comet")};
+  synthetic.workloads = {comet::memsim::profile_by_name("gcc_like")};
+  synthetic.policies = {comet::sched::Policy::kFrFcfs};
+  synthetic.controller.policy = comet::sched::Policy::kFrFcfs;
+  synthetic.telemetry.trace_path = "t.json";
+  synthetic.telemetry.trace_limit = 5;
+  synthetic.telemetry.metrics_interval_ps = 1'000'000;
+  synthetic.telemetry.metrics_csv = "t.csv";
+  synthetic.profile.profile = true;
+  synthetic.profile.progress_ms = 100;
+
+  ExperimentSpec trace;
+  trace.devices = {make_device_spec("comet")};
+  trace.trace_file = "t.nvt";
+  trace.cpu_ghz = 3.0;
+
+  ExperimentSpec tenants;
+  tenants.devices = {make_device_spec("comet")};
+  cf::TenantSpec replayed;
+  replayed.name = "a";
+  replayed.trace_file = "a.nvt";
+  replayed.interarrival_ns = 10.0;
+  replayed.burstiness = 0.25;
+  replayed.requests = 100;
+  cf::TenantSpec synthesized;
+  synthesized.name = "b";
+  synthesized.profile = comet::memsim::profile_by_name("lbm_like");
+  tenants.tenants = {replayed, synthesized};
+  return {synthetic, trace, tenants};
+}
+
+/// For every row of S's table: some base document, with that one field
+/// moved to a non-default in-range value, survives write -> parse
+/// unchanged as a whole ExperimentSpec. Candidates the struct's own
+/// cross-field rules reject (a parse error) are skipped.
+template <typename S, typename Part>
+void expect_each_field_round_trips(Part part) {
+  for (const cf::Field<S>& f : cf::Schema<S>::fields) {
+    bool covered = false;
+    std::string last_error = "no base document holds this struct";
+    for (const ExperimentSpec& base : field_bases()) {
+      for (std::size_t nth = 0; nth < 4 && !covered; ++nth) {
+        ExperimentSpec spec = base;
+        S* target = part(spec);
+        if (!target || !std::visit(Mutate<S>{*target, nth}, f.member)) {
+          continue;
+        }
+        ExperimentSpec reparsed;
+        try {
+          reparsed = reparse(spec);
+        } catch (const std::exception& e) {
+          last_error = e.what();
+          continue;
+        }
+        EXPECT_TRUE(reparsed == spec)
+            << f.key << " did not round-trip:\n"
+            << cf::experiment_to_toml(spec);
+        covered = true;
+      }
+      if (covered) break;
+    }
+    EXPECT_TRUE(covered) << f.key << ": " << last_error;
+  }
+}
+
+TEST(FieldTables, BaseDocumentsRoundTrip) {
+  for (const ExperimentSpec& base : field_bases()) {
+    EXPECT_TRUE(reparse(base) == base) << cf::experiment_to_toml(base);
+  }
+}
+
+TEST(FieldTables, EveryFieldRoundTripsAtANonDefaultValue) {
+  using comet::memsim::DeviceEnergy;
+  using comet::memsim::DeviceTiming;
+  expect_each_field_round_trips<DeviceTiming>(
+      [](ExperimentSpec& s) -> DeviceTiming* {
+        return &s.devices.front().flat->timing;
+      });
+  expect_each_field_round_trips<DeviceEnergy>(
+      [](ExperimentSpec& s) -> DeviceEnergy* {
+        return &s.devices.front().flat->energy;
+      });
+  expect_each_field_round_trips<comet::memsim::WorkloadProfile>(
+      [](ExperimentSpec& s) -> comet::memsim::WorkloadProfile* {
+        return s.workloads.empty() ? nullptr : &s.workloads.front();
+      });
+  expect_each_field_round_trips<comet::hybrid::DramCacheConfig>(
+      [](ExperimentSpec& s) -> comet::hybrid::DramCacheConfig* {
+        return s.devices.size() < 2 ? nullptr : &s.devices[1].tiered->cache;
+      });
+  expect_each_field_round_trips<comet::sched::ControllerConfig>(
+      [](ExperimentSpec& s) -> comet::sched::ControllerConfig* {
+        return s.policies.empty() ? nullptr : &s.controller;
+      });
+  expect_each_field_round_trips<comet::telemetry::TelemetrySpec>(
+      [](ExperimentSpec& s) { return &s.telemetry; });
+  expect_each_field_round_trips<comet::prof::ProfSpec>(
+      [](ExperimentSpec& s) { return &s.profile; });
+  expect_each_field_round_trips<cf::TenantSpec>(
+      [](ExperimentSpec& s) -> cf::TenantSpec* {
+        return s.tenants.empty() ? nullptr : &s.tenants.front();
+      });
+  expect_each_field_round_trips<ExperimentSpec>(
+      [](ExperimentSpec& s) { return &s; });
+}
+
+TEST(ExperimentApi, CpuGhzSurvivesTheDumpForTraceTenants) {
+  // cpu_ghz clocks trace tenants too, so a dump must carry it even when
+  // the run has no run-level trace_file.
+  const std::string text =
+      "[experiment]\n"
+      "devices = [\"comet\"]\n"
+      "cpu_ghz = 4.0\n"
+      "[tenant.a]\n"
+      "trace_file = \"a.nvt\"\n"
+      "[tenant.b]\n"
+      "workload = \"lbm_like\"\n";
+  const auto spec = comet::config::parse_experiment(
+      toml::parse_string(text, "t.toml"), nullptr);
+  EXPECT_EQ(spec.cpu_ghz, 4.0);
+  const std::string dump = comet::config::experiment_to_toml(spec);
+  EXPECT_NE(dump.find("cpu_ghz = 4.0"), std::string::npos) << dump;
+  EXPECT_EQ(reparse(spec).cpu_ghz, 4.0);
 }
 
 }  // namespace

@@ -675,6 +675,35 @@ TEST(OptionsTest, TenantListDiagnostics) {
                std::invalid_argument);
 }
 
+TEST(OptionsTest, DecimalValuesNeedADigit) {
+  // --cpu-ghz and the --tenants decimal fields share one grammar: a lone
+  // '.' is not a number anywhere.
+  EXPECT_THROW(parse_args({"--cpu-ghz", "."}), std::invalid_argument);
+  EXPECT_THROW(parse_args({"--tenants", "a=gcc_like:.,b=lbm_like"}),
+               std::invalid_argument);
+  EXPECT_THROW(parse_args({"--tenants", "a=gcc_like:40:."}),
+               std::invalid_argument);
+  const auto tenants = comet::driver::tenants_from_options(
+      parse_args({"--tenants", "a=gcc_like:.5:0."}));
+  ASSERT_EQ(tenants.size(), 1u);
+  EXPECT_DOUBLE_EQ(tenants[0].interarrival_ns, 0.5);
+  EXPECT_DOUBLE_EQ(tenants[0].burstiness, 0.0);
+}
+
+TEST(SweepTest, CpuGhzClocksTraceTenants) {
+  // --cpu-ghz converts a trace tenant's cycle stamps into time exactly
+  // as it does for a run-level --trace-file.
+  const TempTraceFile file;
+  const auto span_at = [&](const std::string& ghz) {
+    const auto jobs = build_matrix(parse_args(
+        {"--device", "comet", "--tenants", "a=@" + file.path() + ",b=lbm_like",
+         "--requests", "400", "--cpu-ghz", ghz}));
+    EXPECT_EQ(jobs.at(0).cpu_ghz, std::stod(ghz));
+    return comet::driver::run_job(jobs.at(0)).span_ps;
+  };
+  EXPECT_NE(span_at("2.0"), span_at("4.0"));
+}
+
 TEST(OptionsTest, TenantFlagDependenciesRejectedAtParseTime) {
   EXPECT_THROW(parse_args({"--tenant-mapping", "interleave"}),
                std::invalid_argument);

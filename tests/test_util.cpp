@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "util/interp.hpp"
+#include "util/names.hpp"
 #include "util/ring.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -373,4 +374,23 @@ TEST(RingQueue, ClearResetsToEmpty) {
   EXPECT_EQ(q.size(), 0u);
   q.push_back(7);
   EXPECT_EQ(q.front(), 7);
+}
+
+// ---------------------------------------------------------------- names
+
+TEST(Names, FindNamedListsTheValidSet) {
+  constexpr cu::Named<int> one[] = {{"a", 1}};
+  constexpr cu::Named<int> three[] = {{"a", 1}, {"b", 2}, {"c", 3}};
+  EXPECT_EQ(cu::find_named(three, "b", "letter").value, 2);
+  EXPECT_STREQ(cu::name_of(three, 3), "c");
+  const auto message = [](const auto& rows) {
+    try {
+      (void)cu::find_named(rows, "z", "letter");
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_EQ(message(one), "unknown letter 'z'; expected a");
+  EXPECT_EQ(message(three), "unknown letter 'z'; expected a, b or c");
 }
