@@ -1,11 +1,12 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "util/json.hpp"
 
 /// Shared result schema for the perf-lane benches (bench_streaming,
 /// bench_sched). One document shape so scripts/check_perf.py can gate
@@ -41,24 +42,7 @@ struct BenchResult {
 };
 
 inline std::string json_str(const std::string& value) {
-  std::string out = "\"";
-  for (const char c : value) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out + "\"";
+  return util::json_string(value);
 }
 
 inline void write_bench_json(std::ostream& os, const std::string& bench,

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "config/fields.hpp"
+#include "config/metrics.hpp"
 
 namespace comet::config {
 
@@ -578,7 +579,7 @@ void parse_slo_section(const toml::Table& table, const std::string& source,
   if (auto lists = reader.get_string_list("assert")) {
     for (const std::string& text : lists.value()) {
       try {
-        std::vector<prof::SloPredicate> parsed = prof::parse_slo(text);
+        std::vector<prof::SloPredicate> parsed = parse_slo(text);
         spec.slo.insert(spec.slo.end(), parsed.begin(), parsed.end());
       } catch (const std::exception& e) {
         reader.fail_at(reader.key_line("assert"), e.what());

@@ -220,7 +220,8 @@ void parse_profile_section(const toml::Table& table, const std::string& source,
                            prof::ProfSpec& spec);
 
 /// Parses an `[slo]` table: `assert` — one predicate list string or an
-/// array of them (the `--assert-slo` grammar, see prof/slo.hpp),
+/// array of them (the `--assert-slo` grammar, see prof/slo.hpp, with
+/// the metric names of config/metrics.hpp),
 /// concatenated into the spec's gate set. Malformed predicates and
 /// unknown metrics raise toml::ParseError anchored to the offending
 /// line.

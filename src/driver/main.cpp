@@ -12,7 +12,6 @@
 #include "driver/options.hpp"
 #include "driver/registry.hpp"
 #include "driver/report.hpp"
-#include "driver/slo_eval.hpp"
 #include "driver/sweep.hpp"
 #include "memsim/trace.hpp"
 #include "memsim/trace_gen.hpp"
@@ -172,14 +171,16 @@ int main(int argc, char** argv) {
     // (plus each job's host wall clock). The report is still written in
     // full — exit 3 replaces exit 0 only after everything is on disk,
     // so CI can both archive the JSON and fail the build.
-    std::vector<std::vector<SloOutcome>> slo_outcomes(jobs.size());
+    std::vector<std::vector<comet::config::SloOutcome>> slo_outcomes(
+        jobs.size());
     bool slo_failed = false;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       const auto& predicates = jobs[i].profile_spec.slo;
       if (predicates.empty()) continue;
       const double wall_s =
           profilers[i] ? profilers[i]->wall_seconds() : 0.0;
-      slo_outcomes[i] = evaluate_slo(predicates, results[i], wall_s);
+      slo_outcomes[i] =
+          comet::config::evaluate_slo(predicates, results[i], wall_s);
       for (const auto& outcome : slo_outcomes[i]) {
         if (outcome.pass) continue;
         slo_failed = true;

@@ -11,6 +11,7 @@
 #include <stdexcept>
 
 #include "config/experiment.hpp"
+#include "config/metrics.hpp"
 #include "config/serialize.hpp"
 #include "driver/registry.hpp"
 #include "memsim/trace_gen.hpp"
@@ -283,7 +284,7 @@ Options parse_args(const std::vector<std::string>& args) {
       if (opt.assert_slo.empty()) {
         throw std::invalid_argument(
             "--assert-slo requires a predicate list, e.g. "
-            "\"p99_read_ns<=2500,requests_per_s>=5e6\"");
+            "\"p99_read_latency_ns<=2500,host.requests_per_s>=5e6\"");
       }
       matrix(flag);
     } else if (flag == "--json") {
@@ -543,7 +544,7 @@ prof::ProfSpec prof_from_options(const Options& options) {
   spec.progress_ms = options.progress_ms;
   if (!options.assert_slo.empty()) {
     try {
-      spec.slo = prof::parse_slo(options.assert_slo);
+      spec.slo = config::parse_slo(options.assert_slo);
     } catch (const std::exception& e) {
       throw std::invalid_argument(std::string("--assert-slo: ") + e.what());
     }
@@ -646,8 +647,9 @@ std::string usage() {
      << "                         runs: completed/total requests, req/s,\n"
      << "                         ETA, RSS (default period: 500 ms)\n"
      << "  --assert-slo <list>    comma-separated run health gates over\n"
-     << "                         the report metrics, e.g.\n"
-     << "                         \"p99_read_ns<=2500,requests_per_s>=5e6\";\n"
+     << "                         the --json record's numbers, e.g.\n"
+     << "                         \"p99_read_latency_ns<=2500,\n"
+     << "                         host.requests_per_s>=5e6\";\n"
      << "                         any violated predicate exits 3\n"
      << "  --json <path>          also write machine-readable JSON\n"
      << "  --csv                  print CSV instead of aligned tables\n"

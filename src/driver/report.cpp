@@ -1,39 +1,33 @@
 #include "driver/report.hpp"
 
-#include <cstdio>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <variant>
 
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace comet::driver {
 
 namespace {
 
-/// Shortest decimal form that round-trips a double (JSON-safe).
-std::string json_num(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  // Trim to the shortest representation that still round-trips.
-  for (int precision = 1; precision < 17; ++precision) {
-    char candidate[32];
-    std::snprintf(candidate, sizeof candidate, "%.*g", precision, v);
-    double parsed = 0.0;
-    std::sscanf(candidate, "%lf", &parsed);
-    if (parsed == v) return candidate;
-  }
-  return buf;
-}
+using util::json_number;
+using util::json_string;
 
-std::string json_str(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
+void write_value(std::ostream& os, std::uint64_t v) { os << v; }
+void write_value(std::ostream& os, double v) { os << json_number(v); }
+
+/// `"key": value` per row of a metric table, each after ", " (the first
+/// one too unless `lead` is false).
+template <typename Rows, typename V>
+void write_metrics(std::ostream& os, const Rows& rows, const V& view,
+                   bool lead = true) {
+  for (const auto& row : rows) {
+    os << (lead ? ", \"" : "\"") << row.key << "\": ";
+    std::visit([&](auto get) { write_value(os, get(view)); }, row.get);
+    lead = true;
   }
-  out += '"';
-  return out;
 }
 
 }  // namespace
@@ -235,19 +229,19 @@ void write_timeline_json(std::ostream& os,
        << ", \"reads\": " << point.reads
        << ", \"writes\": " << point.writes
        << ", \"bytes\": " << point.bytes
-       << ", \"bandwidth_gbps\": " << json_num(point.bandwidth_gbps)
-       << ", \"avg_latency_ns\": " << json_num(point.avg_latency_ns)
-       << ", \"p50_latency_ns\": " << json_num(point.p50_latency_ns)
-       << ", \"p95_latency_ns\": " << json_num(point.p95_latency_ns)
-       << ", \"p99_latency_ns\": " << json_num(point.p99_latency_ns)
+       << ", \"bandwidth_gbps\": " << json_number(point.bandwidth_gbps)
+       << ", \"avg_latency_ns\": " << json_number(point.avg_latency_ns)
+       << ", \"p50_latency_ns\": " << json_number(point.p50_latency_ns)
+       << ", \"p95_latency_ns\": " << json_number(point.p95_latency_ns)
+       << ", \"p99_latency_ns\": " << json_number(point.p99_latency_ns)
        << ", \"avg_read_queue_occupancy\": "
-       << json_num(point.avg_read_queue_occupancy)
+       << json_number(point.avg_read_queue_occupancy)
        << ", \"avg_write_queue_occupancy\": "
-       << json_num(point.avg_write_queue_occupancy)
+       << json_number(point.avg_write_queue_occupancy)
        << ", \"write_drains\": " << point.write_drains
        << ", \"drained_writes\": " << point.drained_writes
        << ", \"admit_stalls\": " << point.admit_stalls
-       << ", \"bank_busy_ns\": " << json_num(point.bank_busy_ns)
+       << ", \"bank_busy_ns\": " << json_number(point.bank_busy_ns)
        << ", \"channel_requests\": [";
     for (std::size_t c = 0; c < point.channel_requests.size(); ++c) {
       os << (c ? ", " : "") << point.channel_requests[c];
@@ -268,7 +262,7 @@ void write_telemetry_json(std::ostream& os,
   bool first_stage = true;
   for (const auto& stage : collector.stages()) {
     os << (first_stage ? "" : ", ")
-       << "{\"stage\": " << json_str(stage->stage())
+       << "{\"stage\": " << json_string(stage->stage())
        << ", \"channels\": " << stage->channels()
        << ", \"banks\": " << stage->banks()
        << ", \"recorded_events\": " << stage->recorded_events()
@@ -290,44 +284,44 @@ void write_telemetry_json(std::ostream& os,
 
 /// The whole-job host profile: wall clock, throughput, RSS, stage
 /// timings and one entry per LanePool.
-void write_host_json(std::ostream& os, const prof::Profiler& profiler) {
-  os << "{\"wall_s\": " << json_num(profiler.wall_seconds())
-     << ", \"requests\": " << profiler.run_requests()
-     << ", \"requests_per_s\": " << json_num(profiler.requests_per_second())
-     << ", \"peak_rss_bytes\": " << prof::peak_rss_bytes()
+void write_host_json(std::ostream& os, const prof::Profiler& profiler,
+                     const config::RunRecord& record) {
+  os << "{";
+  write_metrics(os, config::kHostMetrics.rows, record, /*lead=*/false);
+  os << ", \"peak_rss_bytes\": " << prof::peak_rss_bytes()
      << ", \"stages\": [";
   bool first = true;
   for (const auto& [name, stage] : profiler.stages()) {
-    os << (first ? "" : ", ") << "{\"stage\": " << json_str(name)
+    os << (first ? "" : ", ") << "{\"stage\": " << json_string(name)
        << ", \"calls\": " << stage.calls
-       << ", \"wall_s\": " << json_num(stage.wall_s) << "}";
+       << ", \"wall_s\": " << json_number(stage.wall_s) << "}";
     first = false;
   }
   os << "], \"pools\": [";
   bool first_pool = true;
   for (const auto& pool : profiler.pools()) {
-    os << (first_pool ? "" : ", ") << "{\"stage\": " << json_str(pool->stage)
+    os << (first_pool ? "" : ", ") << "{\"stage\": " << json_string(pool->stage)
        << ", \"threads\": " << pool->threads
-       << ", \"wall_s\": " << json_num(pool->wall_s)
-       << ", \"utilization\": " << json_num(pool->utilization())
+       << ", \"wall_s\": " << json_number(pool->wall_s)
+       << ", \"utilization\": " << json_number(pool->utilization())
        << ", \"blocks_pushed\": " << pool->blocks_pushed
        << ", \"blocks_allocated\": " << pool->blocks_allocated
        << ", \"blocks_recycled\": " << pool->blocks_recycled
        << ", \"push_stalls\": " << pool->push_stalls
-       << ", \"push_wait_s\": " << json_num(pool->push_wait_s)
+       << ", \"push_wait_s\": " << json_number(pool->push_wait_s)
        << ", \"queue_high_water\": " << pool->queue_high_water
        << ", \"lanes\": [";
     for (std::size_t l = 0; l < pool->lanes.size(); ++l) {
       const auto& lane = pool->lanes[l];
-      os << (l ? ", " : "") << "{\"busy_s\": " << json_num(lane.busy_s)
+      os << (l ? ", " : "") << "{\"busy_s\": " << json_number(lane.busy_s)
          << ", \"blocks\": " << lane.blocks
          << ", \"requests\": " << lane.requests << "}";
     }
     os << "], \"workers\": [";
     for (std::size_t w = 0; w < pool->workers.size(); ++w) {
       const auto& worker = pool->workers[w];
-      os << (w ? ", " : "") << "{\"busy_s\": " << json_num(worker.busy_s)
-         << ", \"idle_s\": " << json_num(worker.idle_s)
+      os << (w ? ", " : "") << "{\"busy_s\": " << json_number(worker.busy_s)
+         << ", \"idle_s\": " << json_number(worker.idle_s)
          << ", \"pop_waits\": " << worker.pop_waits << "}";
     }
     os << "]}";
@@ -341,16 +335,16 @@ void write_host_json(std::ostream& os, const prof::Profiler& profiler) {
 /// applicable=false and pass=true so the reader can tell "held" from
 /// "not measured".
 void write_slo_json(std::ostream& os,
-                    const std::vector<SloOutcome>& outcomes) {
-  os << "{\"pass\": " << (slo_violated(outcomes) ? "false" : "true")
+                    const std::vector<config::SloOutcome>& outcomes) {
+  os << "{\"pass\": " << (config::slo_violated(outcomes) ? "false" : "true")
      << ", \"checks\": [";
   for (std::size_t c = 0; c < outcomes.size(); ++c) {
-    const SloOutcome& outcome = outcomes[c];
+    const config::SloOutcome& outcome = outcomes[c];
     os << (c ? ", " : "")
-       << "{\"predicate\": " << json_str(outcome.predicate.to_string())
-       << ", \"metric\": " << json_str(outcome.predicate.metric)
-       << ", \"threshold\": " << json_num(outcome.predicate.threshold)
-       << ", \"value\": " << json_num(outcome.value)
+       << "{\"predicate\": " << json_string(outcome.predicate.to_string())
+       << ", \"metric\": " << json_string(outcome.predicate.metric)
+       << ", \"threshold\": " << json_number(outcome.predicate.threshold)
+       << ", \"value\": " << json_number(outcome.value)
        << ", \"applicable\": " << (outcome.applicable ? "true" : "false")
        << ", \"pass\": " << (outcome.pass ? "true" : "false") << "}";
   }
@@ -364,7 +358,7 @@ void write_json(
     const std::vector<memsim::SimStats>& results,
     const std::vector<std::unique_ptr<telemetry::Collector>>* collectors,
     const std::vector<std::unique_ptr<prof::Profiler>>* profilers,
-    const std::vector<std::vector<SloOutcome>>* slo) {
+    const std::vector<std::vector<config::SloOutcome>>* slo) {
   if (jobs.size() != results.size()) {
     throw std::invalid_argument("jobs/results size mismatch");
   }
@@ -382,100 +376,51 @@ void write_json(
     const auto& job = jobs[i];
     const auto& stats = results[i];
     os << (i ? ",\n" : "\n") << "    {"
-       << "\"device\": " << json_str(job.device.name)
-       << ", \"workload\": " << json_str(job.profile.name)
+       << "\"device\": " << json_string(job.device.name)
+       << ", \"workload\": " << json_string(job.profile.name)
        << ", \"channels\": " << job.device.channels()
        << ", \"requests\": " << job.requests
        << ", \"seed\": " << job.seed
        << ", \"line_bytes\": " << job.line_bytes
        << ", \"run_threads\": " << job.run_threads
-       << ", \"trace_file\": " << json_str(job.trace_path)
-       << ", \"experiment\": " << json_str(job.experiment)
-       << ", \"config_file\": " << json_str(job.config_file)
-       << ", \"reads\": " << stats.reads
-       << ", \"writes\": " << stats.writes
-       << ", \"span_ps\": " << stats.span_ps
-       << ", \"avg_read_latency_ns\": "
-       << json_num(stats.read_latency_ns.mean())
-       << ", \"avg_write_latency_ns\": "
-       << json_num(stats.write_latency_ns.mean())
-       << ", \"p50_read_latency_ns\": " << json_num(stats.read_latency_ns.p50())
-       << ", \"p95_read_latency_ns\": " << json_num(stats.read_latency_ns.p95())
-       << ", \"p99_read_latency_ns\": " << json_num(stats.read_latency_ns.p99())
-       << ", \"p50_write_latency_ns\": "
-       << json_num(stats.write_latency_ns.p50())
-       << ", \"p95_write_latency_ns\": "
-       << json_num(stats.write_latency_ns.p95())
-       << ", \"p99_write_latency_ns\": "
-       << json_num(stats.write_latency_ns.p99())
-       << ", \"avg_queue_delay_ns\": " << json_num(stats.queue_delay_ns.mean())
-       << ", \"bandwidth_gbps\": " << json_num(stats.bandwidth_gbps())
-       << ", \"energy_pj_per_bit\": " << json_num(stats.epb_pj_per_bit())
-       << ", \"dynamic_energy_pj\": " << json_num(stats.dynamic_energy_pj)
-       << ", \"background_energy_pj\": " << json_num(stats.background_energy_pj)
-       << ", \"hybrid\": " << (stats.is_hybrid() ? "true" : "false")
-       << ", \"cache_hits\": " << stats.cache_hits
-       << ", \"cache_misses\": " << stats.cache_misses
-       << ", \"hit_rate\": " << json_num(stats.hit_rate())
-       << ", \"writebacks\": " << stats.writebacks
-       << ", \"dram_tier_energy_pj\": " << json_num(stats.dram_tier_energy_pj)
-       << ", \"backend_tier_energy_pj\": "
-       << json_num(stats.backend_tier_energy_pj);
+       << ", \"trace_file\": " << json_string(job.trace_path)
+       << ", \"experiment\": " << json_string(job.experiment)
+       << ", \"config_file\": " << json_string(job.config_file);
+    const prof::Profiler* profiler =
+        profilers ? (*profilers)[i].get() : nullptr;
+    const config::RunRecord record{
+        stats, profiler ? profiler->wall_seconds() : 0.0};
+    write_metrics(os, config::kRunMetrics.rows, record);
+    os << ", \"hybrid\": " << (stats.is_hybrid() ? "true" : "false");
+    write_metrics(os, config::kCacheMetrics.rows, record);
     // Every scheduler field lives under one "sched" object (null for
     // legacy runs), so a jq del(.results[].sched) compares a scheduled
     // run against the direct-replay path field for field.
     if (stats.is_scheduled() && job.controller) {
       const auto& c = *job.controller;
       os << ", \"sched\": {"
-         << "\"policy\": " << json_str(stats.sched_policy)
+         << "\"policy\": " << json_string(stats.sched_policy)
          << ", \"read_queue_depth\": " << c.read_queue_depth
          << ", \"write_queue_depth\": " << c.write_queue_depth
          << ", \"drain_high_watermark\": " << c.drain_high_watermark
-         << ", \"drain_low_watermark\": " << c.drain_low_watermark
-         << ", \"avg_queue_delay_ns\": "
-         << json_num(stats.sched_queue_delay_ns.mean())
-         << ", \"p95_queue_delay_ns\": "
-         << json_num(stats.sched_queue_delay_ns.p95())
-         << ", \"avg_service_latency_ns\": "
-         << json_num(stats.service_latency_ns.mean())
-         << ", \"avg_read_queue_occupancy\": "
-         << json_num(stats.read_queue_occupancy.mean())
-         << ", \"avg_write_queue_occupancy\": "
-         << json_num(stats.write_queue_occupancy.mean())
-         << ", \"max_write_queue_occupancy\": "
-         << json_num(stats.write_queue_occupancy.max())
-         << ", \"write_drains\": " << stats.write_drains
-         << ", \"drained_writes\": " << stats.drained_writes
-         << ", \"drain_stalls\": " << stats.drain_stalls
-         << ", \"admit_stalls\": " << stats.admit_stalls
-         << "}";
+         << ", \"drain_low_watermark\": " << c.drain_low_watermark;
+      write_metrics(os, config::kSchedMetrics.rows, record);
+      os << "}";
     } else {
       os << ", \"sched\": null";
     }
     // Per-tenant fairness block, "sched"-style: null for single-stream
     // runs, so jq del(.results[].tenants) compares the two shapes.
     if (stats.is_multi_tenant()) {
-      os << ", \"tenants\": {"
-         << "\"mapping\": "
-         << json_str(config::tenant_mapping_name(job.tenant_mapping))
-         << ", \"max_slowdown\": " << json_num(stats.max_slowdown)
-         << ", \"fairness_index\": " << json_num(stats.fairness_index)
-         << ", \"streams\": [";
+      os << ", \"tenants\": {\"mapping\": "
+         << json_string(config::tenant_mapping_name(job.tenant_mapping));
+      write_metrics(os, config::kTenantMetrics.rows, record);
+      os << ", \"streams\": [";
       for (std::size_t t = 0; t < stats.tenants.size(); ++t) {
         const auto& tenant = stats.tenants[t];
-        os << (t ? ", " : "") << "{"
-           << "\"name\": " << json_str(tenant.name)
-           << ", \"reads\": " << tenant.reads
-           << ", \"writes\": " << tenant.writes
-           << ", \"bytes\": " << tenant.bytes_transferred
-           << ", \"avg_latency_ns\": " << json_num(tenant.avg_latency_ns())
-           << ", \"p50_latency_ns\": " << json_num(tenant.latency_ns.p50())
-           << ", \"p95_latency_ns\": " << json_num(tenant.latency_ns.p95())
-           << ", \"p99_latency_ns\": " << json_num(tenant.latency_ns.p99())
-           << ", \"alone_avg_latency_ns\": "
-           << json_num(tenant.alone_avg_latency_ns)
-           << ", \"slowdown\": " << json_num(tenant.slowdown)
-           << "}";
+        os << (t ? ", " : "") << "{\"name\": " << json_string(tenant.name);
+        write_metrics(os, config::rows::stream, tenant);
+        os << "}";
       }
       os << "]}";
     } else {
@@ -484,7 +429,7 @@ void write_json(
     // Telemetry provenance: null when the feature is disabled, so
     // jq del(...) diffs traced against untraced reports cleanly.
     if (job.telemetry.tracing()) {
-      os << ", \"trace_out\": " << json_str(job.telemetry.trace_path)
+      os << ", \"trace_out\": " << json_string(job.telemetry.trace_path)
          << ", \"trace_limit\": " << job.telemetry.trace_limit;
     } else {
       os << ", \"trace_out\": null, \"trace_limit\": null";
@@ -496,7 +441,7 @@ void write_json(
       os << ", \"metrics_interval_ns\": null";
     }
     if (!job.telemetry.metrics_csv.empty()) {
-      os << ", \"metrics_csv\": " << json_str(job.telemetry.metrics_csv);
+      os << ", \"metrics_csv\": " << json_string(job.telemetry.metrics_csv);
     } else {
       os << ", \"metrics_csv\": null";
     }
@@ -517,11 +462,9 @@ void write_json(
     // Host profile and SLO verdict, same null contract: --profile off
     // (or a heartbeat/gate-only profiler) keeps "host" null, no
     // --assert-slo keeps "slo" null.
-    const prof::Profiler* profiler =
-        profilers ? (*profilers)[i].get() : nullptr;
     if (profiler && job.profile_spec.profiling()) {
       os << ", \"host\": ";
-      write_host_json(os, *profiler);
+      write_host_json(os, *profiler, record);
     } else {
       os << ", \"host\": null";
     }

@@ -3,7 +3,7 @@
 #include <ostream>
 #include <vector>
 
-#include "driver/slo_eval.hpp"
+#include "config/metrics.hpp"
 #include "driver/sweep.hpp"
 #include "memsim/stats.hpp"
 
@@ -26,11 +26,20 @@ void print_host_profile(
     const std::vector<std::unique_ptr<prof::Profiler>>* profilers, bool csv);
 
 /// BENCH_fig9.json-style record: `{"bench": "comet_sim_sweep",
-/// "results": [{device, workload, channels, requests, seed,
-/// experiment, config_file, avg_read_latency_ns, ..., bandwidth_gbps,
-/// energy_pj_per_bit}, ...]}`. The experiment/config_file pair is the
-/// run's config provenance (`"cli"` / `""` for flag-driven runs).
-/// Numbers are emitted with round-trip precision.
+/// "results": [{device, workload, channels, requests, seed, ...,
+/// experiment, config_file, reads, ..., backend_tier_energy_pj, sched,
+/// tenants, ...}, ...]}`. The experiment/config_file pair is the run's
+/// config provenance (`"cli"` / `""` for flag-driven runs).
+///
+/// Every statistic comes from the metric tables of config/metrics.hpp,
+/// in row order: the record's own rows, the "hybrid" flag and the
+/// cache rows, then the rows of the "sched" object (after the policy
+/// and queue-depth provenance; null for unscheduled runs), of the
+/// "tenants" object and of each of its "streams" (null for
+/// single-stream runs) and of the "host" object. Each key is also the
+/// SLO metric of that number, so a new table row is reported and
+/// gateable at once. Integers print as integers, doubles with
+/// round-trip precision, strings JSON-escaped.
 ///
 /// Telemetry provenance rides along in every record: trace_out /
 /// trace_limit / metrics_interval_ns / metrics_csv (null when the
@@ -58,6 +67,6 @@ void write_json(
     const std::vector<std::unique_ptr<telemetry::Collector>>* collectors =
         nullptr,
     const std::vector<std::unique_ptr<prof::Profiler>>* profilers = nullptr,
-    const std::vector<std::vector<SloOutcome>>* slo = nullptr);
+    const std::vector<std::vector<config::SloOutcome>>* slo = nullptr);
 
 }  // namespace comet::driver

@@ -3,29 +3,20 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <regex>
 #include <stdexcept>
+
+#include "util/json.hpp"
+#include "util/names.hpp"
 
 namespace comet::prof {
 namespace {
 
-const std::vector<std::string> kMetrics = {
-    "avg_latency_ns",
-    "avg_queue_delay_ns",
-    "avg_read_ns",
-    "avg_write_ns",
-    "bandwidth_gbps",
-    "energy_pj_per_bit",
-    "fairness_index",
-    "hit_rate",
-    "max_slowdown",
-    "p50_read_ns",
-    "p50_write_ns",
-    "p95_read_ns",
-    "p95_write_ns",
-    "p99_read_ns",
-    "p99_write_ns",
-    "requests_per_s",
-    "wall_s",
+// Two-character operators first so "<=" is not read as "<" + "=2500".
+constexpr util::Named<SloPredicate::Op> kOps[] = {
+    {"<=", SloPredicate::Op::kLe}, {">=", SloPredicate::Op::kGe},
+    {"==", SloPredicate::Op::kEq}, {"<", SloPredicate::Op::kLt},
+    {">", SloPredicate::Op::kGt},
 };
 
 [[noreturn]] void bad(const std::string& predicate, const std::string& why) {
@@ -39,40 +30,31 @@ std::string strip(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
-SloPredicate parse_predicate(const std::string& text) {
-  // Two-character operators first so "<=" is not read as "<" + "=2500".
-  struct OpToken {
-    const char* token;
-    SloPredicate::Op op;
-  };
-  static const OpToken kOps[] = {
-      {"<=", SloPredicate::Op::kLe}, {">=", SloPredicate::Op::kGe},
-      {"==", SloPredicate::Op::kEq}, {"<", SloPredicate::Op::kLt},
-      {">", SloPredicate::Op::kGt},
-  };
-
-  for (const OpToken& candidate : kOps) {
-    const std::size_t pos = text.find(candidate.token);
+SloPredicate parse_predicate(const std::string& text,
+                             bool (*known_metric)(std::string_view)) {
+  for (const auto& candidate : kOps) {
+    const std::size_t pos = text.find(candidate.name);
     if (pos == std::string::npos) continue;
 
     SloPredicate predicate;
-    predicate.op = candidate.op;
+    predicate.op = candidate.value;
     predicate.metric = strip(text.substr(0, pos));
     const std::string rhs =
-        strip(text.substr(pos + std::string(candidate.token).size()));
+        strip(text.substr(pos + std::string(candidate.name).size()));
 
     if (predicate.metric.empty()) bad(text, "missing metric name");
-    if (!known_slo_metric(predicate.metric)) {
+    if (!known_metric(predicate.metric)) {
       bad(text, "unknown metric '" + predicate.metric + "'");
     }
     if (rhs.empty()) bad(text, "missing threshold");
 
-    const char* begin = rhs.c_str();
-    char* end = nullptr;
-    predicate.threshold = std::strtod(begin, &end);
-    if (end != begin + rhs.size()) {
+    // Plain decimals only: strtod alone would also take hex, inf, nan.
+    static const std::regex kDecimal(
+        R"([+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?)");
+    if (!std::regex_match(rhs, kDecimal)) {
       bad(text, "invalid threshold '" + rhs + "'");
     }
+    predicate.threshold = std::strtod(rhs.c_str(), nullptr);
     if (!std::isfinite(predicate.threshold)) {
       bad(text, "threshold must be finite");
     }
@@ -100,40 +82,20 @@ bool SloPredicate::holds(double value) const {
 }
 
 std::string SloPredicate::to_string() const {
-  const char* token = "<=";
-  switch (op) {
-    case Op::kLe:
-      token = "<=";
-      break;
-    case Op::kGe:
-      token = ">=";
-      break;
-    case Op::kLt:
-      token = "<";
-      break;
-    case Op::kGt:
-      token = ">";
-      break;
-    case Op::kEq:
-      token = "==";
-      break;
-  }
+  const std::string head = metric + util::name_of(kOps, op);
   // Shortest decimal form that parses back to exactly `threshold`, so
   // predicates survive the --dump-config round trip unchanged. Integral
   // thresholds print as plain integers ("2500", not "2.5e+03").
-  char buffer[64];
   if (threshold == std::floor(threshold) && std::fabs(threshold) < 1e15) {
+    char buffer[32];
     std::snprintf(buffer, sizeof buffer, "%.0f", threshold);
-  } else {
-    for (int precision = 1; precision <= 17; ++precision) {
-      std::snprintf(buffer, sizeof buffer, "%.*g", precision, threshold);
-      if (std::strtod(buffer, nullptr) == threshold) break;
-    }
+    return head + buffer;
   }
-  return metric + token + buffer;
+  return head + util::json_number(threshold);
 }
 
-std::vector<SloPredicate> parse_slo(const std::string& text) {
+std::vector<SloPredicate> parse_slo(const std::string& text,
+                                    bool (*known_metric)(std::string_view)) {
   std::vector<SloPredicate> predicates;
   std::size_t begin = 0;
   while (begin <= text.size()) {
@@ -141,7 +103,7 @@ std::vector<SloPredicate> parse_slo(const std::string& text) {
     if (end == std::string::npos) end = text.size();
     const std::string piece = strip(text.substr(begin, end - begin));
     if (!piece.empty()) {
-      predicates.push_back(parse_predicate(piece));
+      predicates.push_back(parse_predicate(piece, known_metric));
     } else if (end < text.size() || begin > 0) {
       // "a<=1,,b>=2" or a trailing/leading comma: reject rather than
       // silently dropping a predicate the user thought was active.
@@ -160,14 +122,5 @@ std::string slo_to_string(const std::vector<SloPredicate>& predicates) {
   }
   return out;
 }
-
-bool known_slo_metric(const std::string& name) {
-  for (const std::string& metric : kMetrics) {
-    if (metric == name) return true;
-  }
-  return false;
-}
-
-const std::vector<std::string>& known_slo_metrics() { return kMetrics; }
 
 }  // namespace comet::prof

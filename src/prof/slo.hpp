@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 /// SLO health-gate predicates: the `--assert-slo` / `[slo]` grammar.
@@ -8,14 +9,14 @@
 /// An assertion list is a comma-separated conjunction of predicates,
 /// each `metric OP threshold`:
 ///
-///   p99_read_ns<=2500,requests_per_s>=5e6,max_slowdown<=3.0
+///   p99_read_latency_ns<=2500,host.requests_per_s>=5e6
 ///
-/// Metrics name run statistics (simulated latencies/bandwidth, host
-/// throughput, fairness); the registry of valid names lives here so
-/// that option parsing can reject typos at startup (exit 2), while the
-/// driver owns the mapping from name to value — some metrics only
-/// apply to hybrid or multi-tenant runs and are skipped elsewhere.
-/// Thresholds accept sign, decimals, and scientific notation.
+/// Metrics name numbers of the run report. This layer owns only the
+/// grammar: the caller supplies the set of valid names (the report's
+/// metric tables, config/metrics.hpp) so that option parsing rejects
+/// typos at startup (exit 2). Thresholds are plain decimals: sign,
+/// digits with an optional point, optional exponent — no hex, inf or
+/// nan.
 namespace comet::prof {
 
 struct SloPredicate {
@@ -33,20 +34,16 @@ struct SloPredicate {
   bool operator==(const SloPredicate&) const = default;
 };
 
-/// Parses a comma-separated predicate list. Throws std::invalid_argument
-/// naming the offending predicate on any malformed expression, unknown
-/// metric, or non-finite threshold. An empty/blank string yields {}.
-std::vector<SloPredicate> parse_slo(const std::string& text);
+/// Parses a comma-separated predicate list, accepting the metric names
+/// for which `known_metric` holds. Throws std::invalid_argument naming
+/// the offending predicate on any malformed expression, unknown metric,
+/// or non-decimal or non-finite threshold. An empty/blank string
+/// yields {}.
+std::vector<SloPredicate> parse_slo(const std::string& text,
+                                    bool (*known_metric)(std::string_view));
 
 /// Re-serializes a predicate list to the parse_slo grammar
-/// (round-trips: parse_slo(slo_to_string(p)) == p).
+/// (round-trips: parse_slo(slo_to_string(p), ...) == p).
 std::string slo_to_string(const std::vector<SloPredicate>& predicates);
-
-/// True if `name` is a metric the driver can evaluate.
-bool known_slo_metric(const std::string& name);
-
-/// All valid metric names (sorted); tests iterate this to keep the
-/// registry and the driver's evaluator from drifting apart.
-const std::vector<std::string>& known_slo_metrics();
 
 }  // namespace comet::prof

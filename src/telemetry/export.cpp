@@ -6,19 +6,11 @@
 #include <ostream>
 #include <string>
 
+#include "util/json.hpp"
+
 namespace comet::telemetry {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
 
 /// Trace-event timestamps are microseconds; our clock is picoseconds.
 /// Six fractional digits keep the full 1 ps resolution.
@@ -76,12 +68,12 @@ void write_chrome_trace(std::ostream& os, const std::vector<TraceRun>& runs) {
         const LaneTelemetry& lane = stage->lane(c);
         dropped_total += lane.dropped_events + lane.dropped_marks;
 
-        std::string process = json_escape(run.label);
+        std::string process = run.label;
         if (!stage->stage().empty()) process += " " + stage->stage();
         process += " channel " + std::to_string(c);
         sink.next() << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": "
-                    << pid << ", \"args\": {\"name\": \"" << process
-                    << "\"}}";
+                    << pid << ", \"args\": {\"name\": "
+                    << util::json_string(process) << "}}";
         const int channel_tid = stage->banks();
         sink.next() << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": "
                     << pid << ", \"tid\": " << channel_tid

@@ -7,7 +7,8 @@
 # Covers: missing trace file exits 2 (bad-args class) naming the path;
 # parse errors name the 1-based line number and offending text and exit
 # 1; --dump-trace then --trace-file round-trips through a flat and a
-# hybrid device, emitting valid JSON.
+# hybrid device, emitting valid JSON; a control character in the trace
+# file name is escaped in the JSON report and the Chrome trace.
 
 if(NOT DEFINED COMET_SIM OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR "pass -DCOMET_SIM=... and -DWORK_DIR=...")
@@ -77,5 +78,28 @@ execute_process(
   COMMAND ${COMET_SIM} --dump-trace ${WORK_DIR}/bad.trace
   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
 expect_rc("dump-trace needs workload" "${rc}" 2)
+
+# --- 6. A tab in the trace file name (it is also the workload label)
+# --- reaches the JSON report and the Chrome trace escaped, never raw.
+set(tabbed "${WORK_DIR}/t\tab.trace")
+execute_process(
+  COMMAND ${COMET_SIM} --dump-trace ${tabbed} --workload gcc_like
+          --requests 200
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+expect_rc("dump-trace tabbed name" "${rc}" 0)
+execute_process(
+  COMMAND ${COMET_SIM} --device comet --trace-file ${tabbed}
+          --json ${WORK_DIR}/tabbed.json
+          --trace-out ${WORK_DIR}/tabbed_trace.json
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+expect_rc("replay tabbed name" "${rc}" 0)
+foreach(out tabbed.json tabbed_trace.json)
+  file(READ ${WORK_DIR}/${out} json)
+  string(FIND "${json}" "\t" raw_tab)
+  if(NOT raw_tab EQUAL -1)
+    message(FATAL_ERROR "${out}: raw tab character in JSON output")
+  endif()
+  expect_contains("${out}" "${json}" "t\\u0009ab.trace")
+endforeach()
 
 message(STATUS "trace CLI tests passed")

@@ -381,6 +381,31 @@ TEST(ReportTest, JsonRecordsTraceFile) {
       << os.str();
 }
 
+TEST(ReportTest, JsonEscapesControlCharactersInStrings) {
+  // A path or label with a tab or other control byte must still yield a
+  // valid JSON document: escaped as \u00XX, never written raw.
+  Options opt = parse_args({"--device", "comet", "--workload", "gcc_like",
+                            "--requests", "50"});
+  auto jobs = build_matrix(opt);
+  const auto results = run_sweep(jobs, 1);
+  jobs[0].trace_path = "t\tab\x01.trace";
+  jobs[0].experiment = "quote\"back\\slash\nline";
+  std::ostringstream os;
+  comet::driver::write_json(os, jobs, results);
+  const std::string json = os.str();
+  EXPECT_NE(json.find("\"trace_file\": \"t\\u0009ab\\u0001.trace\""),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"experiment\": \"quote\\\"back\\\\slash\\u000aline\""),
+            std::string::npos)
+      << json;
+  for (const char c : json) {
+    if (c != '\n') {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20) << json;
+    }
+  }
+}
+
 TEST(RegistryTest, HybridTokensAreDistinctFromFlatOnes) {
   for (const auto& token : comet::driver::known_hybrid_devices()) {
     for (const auto& flat : comet::driver::known_devices()) {

@@ -1,12 +1,14 @@
-// Host-side observability tests (src/prof + driver/slo_eval). The
-// load-bearing gate mirrors test_sharded.cpp: attaching a Profiler must
-// never change the simulated statistics — exact ==, every field, for
-// every registry device (flat and hybrid), scheduled and direct, at
-// thread counts {1, 2, 8}. Around it: the SLO grammar (parse errors,
-// round-trip printing, registry/evaluator agreement), degenerate runs
-// (zero and single-request sweeps with profiling and heartbeat on,
-// empty-stats gating without division blowups) and the heartbeat
-// thread's lifecycle including an unknown (0) request total.
+// Host-side observability tests (src/prof + the SLO side of
+// config/metrics). The load-bearing gate mirrors test_sharded.cpp:
+// attaching a Profiler must never change the simulated statistics —
+// exact ==, every field, for every registry device (flat and hybrid),
+// scheduled and direct, at thread counts {1, 2, 8}. Around it: the SLO
+// grammar (parse errors, round-trip printing), the metric tables
+// (every row a report key with the gated value, aliases equal to their
+// keys), degenerate runs (zero and single-request sweeps with profiling
+// and heartbeat on, empty-stats gating without division blowups) and
+// the heartbeat thread's lifecycle including an unknown (0) request
+// total.
 
 #include <gtest/gtest.h>
 
@@ -18,8 +20,9 @@
 #include <string>
 #include <vector>
 
+#include "config/metrics.hpp"
 #include "driver/registry.hpp"
-#include "driver/slo_eval.hpp"
+#include "driver/report.hpp"
 #include "driver/sweep.hpp"
 #include "memsim/sharded.hpp"
 #include "memsim/stats.hpp"
@@ -30,6 +33,7 @@
 #include "sched/controller.hpp"
 #include "util/stats.hpp"
 
+namespace cf = comet::config;
 namespace ms = comet::memsim;
 namespace pf = comet::prof;
 namespace dr = comet::driver;
@@ -107,7 +111,7 @@ ms::SimStats run_spec(const dr::DeviceSpec& spec,
 // ----------------------------------------------------- SLO grammar
 
 TEST(SloParse, AcceptsEveryOperatorAndScientificThresholds) {
-  const auto slo = pf::parse_slo(
+  const auto slo = cf::parse_slo(
       " p99_read_ns <= 2500 , requests_per_s>=5e6, hit_rate>0.5,"
       "max_slowdown<3.0,wall_s==1.25e-1 ");
   ASSERT_EQ(slo.size(), 5u);
@@ -123,26 +127,32 @@ TEST(SloParse, AcceptsEveryOperatorAndScientificThresholds) {
 }
 
 TEST(SloParse, RejectsMalformedPredicates) {
-  EXPECT_THROW(pf::parse_slo("bogus_metric<=1"), std::invalid_argument);
-  EXPECT_THROW(pf::parse_slo("p99_read_ns"), std::invalid_argument);
-  EXPECT_THROW(pf::parse_slo("p99_read_ns<="), std::invalid_argument);
-  EXPECT_THROW(pf::parse_slo("p99_read_ns<=abc"), std::invalid_argument);
-  EXPECT_THROW(pf::parse_slo("p99_read_ns<=1e"), std::invalid_argument);
-  EXPECT_THROW(pf::parse_slo("p99_read_ns<=nan"), std::invalid_argument);
-  EXPECT_THROW(pf::parse_slo("<=1"), std::invalid_argument);
-  EXPECT_THROW(pf::parse_slo("a<=1,,b>=2"), std::invalid_argument);
-  EXPECT_THROW(pf::parse_slo("p99_read_ns<=1,"), std::invalid_argument);
+  EXPECT_THROW(cf::parse_slo("bogus_metric<=1"), std::invalid_argument);
+  EXPECT_THROW(cf::parse_slo("p99_read_ns"), std::invalid_argument);
+  EXPECT_THROW(cf::parse_slo("p99_read_ns<="), std::invalid_argument);
+  EXPECT_THROW(cf::parse_slo("p99_read_ns<=abc"), std::invalid_argument);
+  EXPECT_THROW(cf::parse_slo("p99_read_ns<=1e"), std::invalid_argument);
+  EXPECT_THROW(cf::parse_slo("p99_read_ns<=nan"), std::invalid_argument);
+  EXPECT_THROW(cf::parse_slo("<=1"), std::invalid_argument);
+  EXPECT_THROW(cf::parse_slo("a<=1,,b>=2"), std::invalid_argument);
+  EXPECT_THROW(cf::parse_slo("p99_read_ns<=1,"), std::invalid_argument);
+  // Thresholds are plain decimals: no hex, hex-float, inf or nan.
+  EXPECT_THROW(cf::parse_slo("p99_read_ns<=0x10"), std::invalid_argument);
+  EXPECT_THROW(cf::parse_slo("p99_read_ns<=0x1p20"), std::invalid_argument);
+  EXPECT_THROW(cf::parse_slo("p99_read_ns<=-0X1A"), std::invalid_argument);
+  EXPECT_THROW(cf::parse_slo("p99_read_ns<=inf"), std::invalid_argument);
+  EXPECT_THROW(cf::parse_slo("p99_read_ns<=1e999"), std::invalid_argument);
 }
 
 TEST(SloParse, EmptyListMeansNoGating) {
-  EXPECT_TRUE(pf::parse_slo("").empty());
+  EXPECT_TRUE(cf::parse_slo("").empty());
 }
 
 TEST(SloParse, ToStringRoundTripsThroughTheParser) {
   const std::string text =
       "p99_read_ns<=2500,requests_per_s>=5e6,max_slowdown<3,hit_rate>0.55";
-  const auto first = pf::parse_slo(text);
-  const auto second = pf::parse_slo(pf::slo_to_string(first));
+  const auto first = cf::parse_slo(text);
+  const auto second = cf::parse_slo(pf::slo_to_string(first));
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].metric, second[i].metric);
@@ -153,19 +163,89 @@ TEST(SloParse, ToStringRoundTripsThroughTheParser) {
   EXPECT_EQ(first[0].to_string(), "p99_read_ns<=2500");
 }
 
-// ------------------------------------- registry/evaluator agreement
+// ---------------------------------- metric tables and SLO names
+
+namespace {
+
+/// Every gateable SLO path, from the metric tables.
+std::vector<std::string> table_paths() {
+  std::vector<std::string> paths;
+  for (const cf::MetricBlock* block : cf::kRecordMetrics) {
+    for (const auto& row : block->rows) {
+      paths.push_back(cf::metric_path(*block, row));
+    }
+  }
+  return paths;
+}
+
+/// A record where every block is measured: hybrid, scheduled and
+/// multi-tenant, with distinct nonzero values in every field.
+ms::SimStats live_stats() {
+  ms::SimStats stats;
+  stats.reads = 300;
+  stats.writes = 100;
+  stats.bytes_transferred = 400 * 64;
+  stats.span_ps = 123'456'789;
+  for (int i = 1; i <= 40; ++i) {
+    stats.read_latency_ns.add(10.0 * i + 0.25);
+    stats.write_latency_ns.add(30.0 * i + 0.5);
+    stats.queue_delay_ns.add(1.5 * i);
+    stats.sched_queue_delay_ns.add(0.75 * i);
+    stats.service_latency_ns.add(20.0 * i);
+    stats.read_queue_occupancy.add(i % 7);
+    stats.write_queue_occupancy.add(i % 11);
+  }
+  stats.dynamic_energy_pj = 1.25e6;
+  stats.background_energy_pj = 3.5e5;
+  stats.hybrid = true;
+  stats.cache_hits = 250;
+  stats.cache_misses = 150;
+  stats.writebacks = 17;
+  stats.dram_tier_energy_pj = 4.5e5;
+  stats.backend_tier_energy_pj = 1.15e6;
+  stats.scheduled = true;
+  stats.sched_policy = "frfcfs";
+  stats.write_drains = 5;
+  stats.drained_writes = 44;
+  stats.drain_stalls = 3;
+  stats.admit_stalls = 9;
+  stats.tenants.resize(2);
+  stats.tenants[0].name = "a";
+  stats.tenants[0].reads = 200;
+  stats.tenants[0].latency_ns.add(80.0);
+  stats.tenants[0].alone_avg_latency_ns = 40.0;
+  stats.tenants[0].slowdown = 2.0;
+  stats.tenants[1].name = "b";
+  stats.tenants[1].writes = 100;
+  stats.tenants[1].latency_ns.add(45.0);
+  stats.tenants[1].alone_avg_latency_ns = 30.0;
+  stats.tenants[1].slowdown = 1.5;
+  stats.max_slowdown = 2.0;
+  stats.fairness_index = 0.96;
+  return stats;
+}
+
+/// The number following `"key": ` inside the JSON object that starts
+/// at `from` (naive scan; the report's keys are unique per object).
+double json_number_after(const std::string& json, std::size_t from,
+                         const std::string& key) {
+  const std::size_t at = json.find("\"" + key + "\": ", from);
+  if (at == std::string::npos) return std::nan("");
+  return std::stod(json.substr(at + key.size() + 4));
+}
+
+}  // namespace
 
 TEST(SloEval, EveryRegistryMetricHasAnEvaluatorMapping) {
-  // A record where every metric class is live: hybrid + multi-tenant
-  // stats and a nonzero host wall clock. Every name the grammar accepts
-  // must then evaluate as applicable — a metric added to kMetrics
-  // without a driver mapping fails here.
-  ms::SimStats stats;
-  stats.hybrid = true;
-  stats.tenants.emplace_back();
-  for (const auto& name : pf::known_slo_metrics()) {
-    const auto slo = pf::parse_slo(name + "<=1e300");
-    const auto outcomes = dr::evaluate_slo(slo, stats, /*wall_s=*/1.0);
+  // A record where every block is live: every table row (and every
+  // legacy alias) must parse and evaluate as applicable — a row whose
+  // block predicate can never hold, or an alias pointing nowhere, fails.
+  const ms::SimStats stats = live_stats();
+  std::vector<std::string> names = table_paths();
+  for (const auto& alias : cf::kMetricAliases) names.push_back(alias.name);
+  for (const auto& name : names) {
+    const auto slo = cf::parse_slo(name + "<=1e300");
+    const auto outcomes = cf::evaluate_slo(slo, stats, /*wall_s=*/1.0);
     ASSERT_EQ(outcomes.size(), 1u);
     EXPECT_TRUE(outcomes[0].applicable) << name;
     EXPECT_TRUE(outcomes[0].pass) << name;
@@ -176,13 +256,81 @@ TEST(SloEval, EmptyStatsNeverDivideByZero) {
   // Degenerate gating: zero requests, zero wall clock. Every metric
   // must produce a finite value (or be skipped), never NaN/inf.
   const ms::SimStats stats;
-  for (const auto& name : pf::known_slo_metrics()) {
-    const auto slo = pf::parse_slo(name + ">=0");
-    const auto outcomes = dr::evaluate_slo(slo, stats, /*wall_s=*/0.0);
+  for (const auto& name : table_paths()) {
+    const auto slo = cf::parse_slo(name + ">=0");
+    const auto outcomes = cf::evaluate_slo(slo, stats, /*wall_s=*/0.0);
     ASSERT_EQ(outcomes.size(), 1u);
     EXPECT_TRUE(std::isfinite(outcomes[0].value)) << name;
     if (outcomes[0].applicable) {
       EXPECT_TRUE(outcomes[0].pass) << name;
+    }
+  }
+}
+
+TEST(SloEval, EveryTableRowIsAReportKeyWithTheGatedValue) {
+  // One live record through write_json: each row's key appears in its
+  // block's JSON object, printed with the value evaluate_slo gates on.
+  dr::SweepJob job;
+  job.device = dr::make_device_spec("hybrid-comet");
+  job.profile = ms::profile_by_name("gcc_like");
+  job.controller =
+      sc::ControllerConfig::with_depths(sc::Policy::kFrFcfs, 8, 8);
+  job.profile_spec = profiling_spec();
+  std::vector<std::unique_ptr<pf::Profiler>> profilers;
+  profilers.push_back(std::make_unique<pf::Profiler>(job.profile_spec));
+  const double wall_s = 0.5;
+  const ms::SimStats stats = live_stats();
+  profilers[0]->set_run_totals(wall_s, stats.reads + stats.writes);
+
+  std::ostringstream os;
+  dr::write_json(os, {job}, {stats}, nullptr, &profilers);
+  const std::string json = os.str();
+
+  for (const cf::MetricBlock* block : cf::kRecordMetrics) {
+    const std::string prefix = block->block;
+    const std::size_t from =
+        prefix.empty() ? 0 : json.find("\"" + prefix + "\": {");
+    ASSERT_NE(from, std::string::npos) << prefix;
+    for (const auto& row : block->rows) {
+      const std::string path = cf::metric_path(*block, row);
+      const auto outcomes =
+          cf::evaluate_slo(cf::parse_slo(path + ">=0"), stats, wall_s);
+      ASSERT_TRUE(outcomes[0].applicable) << path;
+      EXPECT_EQ(json_number_after(json, from, row.key), outcomes[0].value)
+          << path;
+    }
+  }
+  // Per-tenant streams print every stream row, in order.
+  std::size_t from = json.find("\"streams\": [");
+  for (const auto& tenant : stats.tenants) {
+    from = json.find("{\"name\": \"" + tenant.name + "\"", from);
+    ASSERT_NE(from, std::string::npos) << tenant.name;
+    for (const auto& row : cf::rows::stream) {
+      EXPECT_EQ(json_number_after(json, from, row.key), row.value(tenant))
+          << tenant.name << " " << row.key;
+    }
+  }
+}
+
+TEST(SloEval, LegacyAliasesMatchTheirReportKeys) {
+  // Each alias is its report key under another name: same verdict on
+  // a live record, on an empty one, and with the host clock off.
+  const ms::SimStats live = live_stats();
+  const ms::SimStats empty;
+  for (const auto& alias : cf::kMetricAliases) {
+    for (const auto* stats : {&live, &empty}) {
+      for (const double wall_s : {0.0, 2.0}) {
+        for (const char* op : {"<=", ">="}) {
+          const auto threshold = std::string(op) + "1.5";
+          const auto legacy = cf::evaluate_slo(
+              cf::parse_slo(alias.name + threshold), *stats, wall_s);
+          const auto keyed = cf::evaluate_slo(
+              cf::parse_slo(alias.value + threshold), *stats, wall_s);
+          EXPECT_EQ(legacy[0].applicable, keyed[0].applicable) << alias.name;
+          EXPECT_EQ(legacy[0].value, keyed[0].value) << alias.name;
+          EXPECT_EQ(legacy[0].pass, keyed[0].pass) << alias.name;
+        }
+      }
     }
   }
 }
@@ -192,27 +340,27 @@ TEST(SloEval, InapplicableMetricsAreSkippedNotViolated) {
   // the host metrics (wall_s == 0, unprofiled) must all skip — an
   // impossible threshold stays green because it was never measured.
   const ms::SimStats stats;
-  const auto slo = pf::parse_slo(
+  const auto slo = cf::parse_slo(
       "hit_rate>=1,max_slowdown<=0,fairness_index>=1,"
       "requests_per_s>=1e12,wall_s<=0");
-  const auto outcomes = dr::evaluate_slo(slo, stats, /*wall_s=*/0.0);
+  const auto outcomes = cf::evaluate_slo(slo, stats, /*wall_s=*/0.0);
   for (const auto& outcome : outcomes) {
     EXPECT_FALSE(outcome.applicable) << outcome.predicate.metric;
     EXPECT_TRUE(outcome.pass) << outcome.predicate.metric;
   }
-  EXPECT_FALSE(dr::slo_violated(outcomes));
+  EXPECT_FALSE(cf::slo_violated(outcomes));
 }
 
 TEST(SloEval, ViolationIsDetectedAndNamed) {
   ms::SimStats stats;
   stats.reads = 100;
   stats.read_latency_ns.add(5000.0);
-  const auto slo = pf::parse_slo("p99_read_ns<=1,avg_queue_delay_ns>=0");
-  const auto outcomes = dr::evaluate_slo(slo, stats, /*wall_s=*/0.5);
+  const auto slo = cf::parse_slo("p99_read_ns<=1,avg_queue_delay_ns>=0");
+  const auto outcomes = cf::evaluate_slo(slo, stats, /*wall_s=*/0.5);
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_FALSE(outcomes[0].pass);
   EXPECT_TRUE(outcomes[1].pass);
-  EXPECT_TRUE(dr::slo_violated(outcomes));
+  EXPECT_TRUE(cf::slo_violated(outcomes));
   EXPECT_EQ(outcomes[0].predicate.to_string(), "p99_read_ns<=1");
 }
 
@@ -229,7 +377,7 @@ TEST(ProfSpec, EnabledIsTheUnionOfTheThreeLegs) {
   EXPECT_TRUE(spec.heartbeat());
   EXPECT_TRUE(spec.enabled());
   spec = pf::ProfSpec{};
-  spec.slo = pf::parse_slo("wall_s<=60");
+  spec.slo = cf::parse_slo("wall_s<=60");
   EXPECT_TRUE(spec.gating());
   EXPECT_TRUE(spec.enabled());
 }
@@ -294,7 +442,7 @@ TEST(DegenerateRuns, ZeroAndSingleRequestAcrossEngineShapes) {
 
       // Gating an empty/near-empty record must not divide by zero.
       const auto outcomes =
-          dr::evaluate_slo(pf::parse_slo("requests_per_s>=0,wall_s>=0"),
+          cf::evaluate_slo(cf::parse_slo("requests_per_s>=0,wall_s>=0"),
                            stats, profiler.wall_seconds());
       for (const auto& outcome : outcomes) {
         EXPECT_TRUE(std::isfinite(outcome.value)) << label;

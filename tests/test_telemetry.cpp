@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -25,6 +26,7 @@
 #include "driver/registry.hpp"
 #include "memsim/trace_gen.hpp"
 #include "sched/controller.hpp"
+#include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/stats.hpp"
 
@@ -334,6 +336,26 @@ TEST(TelemetryTimeline, EmptyWithoutSampling) {
   run_device(dr::make_device_spec("comet"), std::nullopt, 1, &collector);
   EXPECT_GT(collector.recorded_events(), 0u);
   EXPECT_TRUE(collector.timeline().empty());
+}
+
+TEST(TelemetryExport, ChromeTraceEscapesControlCharactersInLabels) {
+  // Run labels carry user file names (a trace file is its workload
+  // name); a tab in one must not make the trace invalid JSON.
+  tl::TelemetrySpec spec;
+  spec.trace_path = "t.json";
+  tl::Collector collector(spec);
+  run_device(dr::make_device_spec("comet"), std::nullopt, 1, &collector);
+  std::ostringstream os;
+  tl::write_chrome_trace(os, {{"t\tab\"q\x1f", &collector}});
+  const std::string json = os.str();
+  EXPECT_NE(json.find("\"name\": \"t\\u0009ab\\\"q\\u001f channel 0\""),
+            std::string::npos)
+      << json.substr(0, 400);
+  for (const char c : json) {
+    if (c != '\n') {
+      ASSERT_GE(static_cast<unsigned char>(c), 0x20);
+    }
+  }
 }
 
 TEST(TelemetryTimeline, HybridRunsRecordPerTierStages) {

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "util/interp.hpp"
+#include "util/json.hpp"
 #include "util/names.hpp"
 #include "util/ring.hpp"
 #include "util/rng.hpp"
@@ -12,6 +13,26 @@
 #include "util/units.hpp"
 
 namespace cu = comet::util;
+
+// ----------------------------------------------------------------- json
+
+TEST(Json, StringEscapesQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(cu::json_string("plain"), "\"plain\"");
+  EXPECT_EQ(cu::json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
+  EXPECT_EQ(cu::json_string("\n\t"), "\"\\u000a\\u0009\"");
+  EXPECT_EQ(cu::json_string(std::string("\x00\x01\x1f", 3)),
+            "\"\\u0000\\u0001\\u001f\"");
+  // DEL and UTF-8 bytes are legal inside JSON strings as-is.
+  EXPECT_EQ(cu::json_string("\x7f\xc3\xa9"), "\"\x7f\xc3\xa9\"");
+}
+
+TEST(Json, NumberIsTheShortestRoundTripForm) {
+  EXPECT_EQ(cu::json_number(2500.0), "2.5e+03");
+  EXPECT_EQ(cu::json_number(0.1), "0.1");
+  EXPECT_EQ(cu::json_number(1e-300), "1e-300");
+  const double third = 1.0 / 3.0;
+  EXPECT_EQ(std::stod(cu::json_number(third)), third);
+}
 
 // ---------------------------------------------------------------- units
 
