@@ -92,108 +92,6 @@ void ExperimentSpec::validate() const {
   }
   if (!policies.empty()) controller.validate();
   telemetry.validate();
-  profile.validate();
-}
-
-ExperimentBuilder& ExperimentBuilder::name(std::string value) {
-  spec_.name = std::move(value);
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::device(std::string token) {
-  spec_.device_tokens.push_back(std::move(token));
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::device(DeviceSpec spec) {
-  spec_.devices.push_back(std::move(spec));
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::workload(std::string profile_name) {
-  spec_.workload_names.push_back(std::move(profile_name));
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::workload(
-    memsim::WorkloadProfile profile) {
-  spec_.workloads.push_back(std::move(profile));
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::requests(
-    std::vector<std::uint64_t> values) {
-  spec_.requests = std::move(values);
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::seeds(std::vector<std::uint64_t> values) {
-  spec_.seeds = std::move(values);
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::channels(std::vector<int> values) {
-  spec_.channels = std::move(values);
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::schedule(
-    std::vector<sched::Policy> policies) {
-  spec_.policies = std::move(policies);
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::controller_config(
-    sched::ControllerConfig config) {
-  spec_.controller = config;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::run_threads(std::vector<int> values) {
-  spec_.run_threads = std::move(values);
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::telemetry(
-    comet::telemetry::TelemetrySpec spec) {
-  spec_.telemetry = std::move(spec);
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::profile(comet::prof::ProfSpec spec) {
-  spec_.profile = std::move(spec);
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::tenant(TenantSpec spec) {
-  spec_.tenants.push_back(std::move(spec));
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::tenant_mapping(TenantMapping mapping) {
-  spec_.tenant_mapping = mapping;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::line_bytes(std::uint32_t value) {
-  spec_.line_bytes = value;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::trace(std::string path, double cpu_ghz) {
-  spec_.trace_file = std::move(path);
-  spec_.cpu_ghz = cpu_ghz;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::cpu_ghz(double value) {
-  spec_.cpu_ghz = value;
-  return *this;
-}
-
-ExperimentSpec ExperimentBuilder::build() const {
-  spec_.validate();
-  return spec_;
 }
 
 ExperimentSpec parse_experiment(const toml::Document& doc,
@@ -274,7 +172,9 @@ void write_experiment(std::ostream& os, const ExperimentSpec& spec) {
       os << "policy = "
          << (names.size() == 1 ? format_value(names[0]) : format_value(names))
          << "\n";
-      write_fields(os, spec.controller);
+      write_fields(os, spec.controller, [&](const char* key) {
+        return policies_read(spec.policies, key);
+      });
     }
     if (sharded) {
       os << "run_threads = " << format_value(spec.run_threads) << "\n";

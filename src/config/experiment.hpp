@@ -9,10 +9,12 @@
 #include "config/serialize.hpp"
 #include "memsim/trace_gen.hpp"
 
-/// The declarative experiment API: one document (or one builder chain)
-/// describes a full comet_sim run — devices, workloads, request counts,
-/// seeds, channel overrides and trace files — and expands into the
-/// sweep matrix without touching C++.
+/// The declarative experiment API: one document describes a full
+/// comet_sim run — devices, workloads, request counts, seeds, channel
+/// overrides and trace files — and expands into the sweep matrix
+/// without touching C++. The comet_sim flags are aliases of document
+/// keys: the command line is lowered to a document and read by
+/// parse_experiment like a `--config` file.
 ///
 /// Document shape (`--config`); every key of every section, with its
 /// type, range and unit, is a row of the field tables in
@@ -104,60 +106,6 @@ struct ExperimentSpec {
   /// axes, or an empty inline device.
   void validate() const;
   bool operator==(const ExperimentSpec&) const = default;
-};
-
-/// Fluent construction of an ExperimentSpec — the programmatic face of
-/// the same API the config files use.
-///
-///     auto spec = ExperimentBuilder()
-///                     .name("ablation")
-///                     .device("comet")
-///                     .workload("gcc_like")
-///                     .channels({4, 8, 16})
-///                     .requests({10000})
-///                     .build();
-class ExperimentBuilder {
- public:
-  ExperimentBuilder& name(std::string value);
-  ExperimentBuilder& device(std::string token);
-  ExperimentBuilder& device(DeviceSpec spec);
-  ExperimentBuilder& workload(std::string profile_name);
-  ExperimentBuilder& workload(memsim::WorkloadProfile profile);
-  ExperimentBuilder& requests(std::vector<std::uint64_t> values);
-  ExperimentBuilder& seeds(std::vector<std::uint64_t> values);
-  ExperimentBuilder& channels(std::vector<int> values);
-
-  /// Engages the scheduler stage: one matrix cell per policy.
-  ExperimentBuilder& schedule(std::vector<sched::Policy> policies);
-
-  /// Queue depths / drain watermarks shared by every policy cell (the
-  /// config's own `policy` field is overwritten per cell).
-  ExperimentBuilder& controller_config(sched::ControllerConfig config);
-
-  /// Sharded-replay thread axis (0 = hardware threads).
-  ExperimentBuilder& run_threads(std::vector<int> values);
-
-  /// Observability spec applied to every cell (see ExperimentSpec).
-  ExperimentBuilder& telemetry(comet::telemetry::TelemetrySpec spec);
-
-  /// Host-side observability spec applied to every cell.
-  ExperimentBuilder& profile(comet::prof::ProfSpec spec);
-
-  /// Appends one tenant stream (engages the multi-tenant front-end).
-  ExperimentBuilder& tenant(TenantSpec spec);
-  ExperimentBuilder& tenant_mapping(TenantMapping mapping);
-  ExperimentBuilder& line_bytes(std::uint32_t value);
-  ExperimentBuilder& trace(std::string path, double cpu_ghz = 2.0);
-
-  /// Clock of trace cycle stamps, for the run's trace file and for
-  /// trace tenants alike.
-  ExperimentBuilder& cpu_ghz(double value);
-
-  /// Validates and returns the spec (throws std::invalid_argument).
-  ExperimentSpec build() const;
-
- private:
-  ExperimentSpec spec_;
 };
 
 /// Parses a whole experiment document. `resolver` resolves `base`

@@ -308,15 +308,20 @@ void read_fields(TableReader& reader, S& out) {
   }
 }
 
-/// Writes a `key = value` line per row whose `written` holds.
-template <typename S>
-void write_fields(std::ostream& os, const S& value) {
+/// Writes a `key = value` line per row whose `written` holds and whose
+/// key `keep` accepts.
+template <typename S, typename Keep>
+void write_fields(std::ostream& os, const S& value, Keep&& keep) {
   for (const Field<S>& f : Schema<S>::fields) {
-    if (f.written && !f.written(value)) continue;
+    if ((f.written && !f.written(value)) || !keep(f.key)) continue;
     os << f.key << " = "
        << std::visit([&](const auto& m) { return m.format(value); }, f.member)
        << "\n";
   }
+}
+template <typename S>
+void write_fields(std::ostream& os, const S& value) {
+  write_fields(os, value, [](const char*) { return true; });
 }
 
 }  // namespace comet::config

@@ -496,6 +496,33 @@ memsim::WorkloadProfile parse_workload(const toml::Table& table,
   return profile;
 }
 
+namespace {
+
+/// The [controller] knobs only one policy reads; every policy reads the
+/// queue depths.
+struct PolicyKnob {
+  const char* key;
+  sched::Policy reader;
+};
+constexpr PolicyKnob kPolicyKnobs[] = {
+    {"drain_high_watermark", sched::Policy::kReadFirst},
+    {"drain_low_watermark", sched::Policy::kReadFirst},
+    {"tenant_tokens", sched::Policy::kTokenBudget},
+    {"starvation_cap", sched::Policy::kFrFcfsCap},
+};
+
+}  // namespace
+
+bool policies_read(const std::vector<sched::Policy>& policies,
+                   std::string_view key) {
+  for (const PolicyKnob& knob : kPolicyKnobs) {
+    if (knob.key == key) {
+      return std::ranges::find(policies, knob.reader) != policies.end();
+    }
+  }
+  return true;
+}
+
 void parse_controller_section(const toml::Table& table,
                               const std::string& source,
                               std::vector<sched::Policy>& policies,
@@ -532,6 +559,15 @@ void parse_controller_section(const toml::Table& table,
     policies.push_back(sched::Policy::kFcfs);
   }
   config.policy = policies.front();
+  // A knob no policy on the axis reads would be silently ignored.
+  for (const PolicyKnob& knob : kPolicyKnobs) {
+    if (reader.has(knob.key) && !policies_read(policies, knob.key)) {
+      reader.fail_at(reader.key_line(knob.key),
+                     std::string("'") + knob.key + "' is read by policy " +
+                         sched::policy_name(knob.reader) +
+                         " only, and the policy axis does not include it");
+    }
+  }
   read_fields(reader, config);
   // A document that bounds the write queue wants watermarks scaled to
   // that bound, not left at the depth-32 defaults; explicit watermark
@@ -570,7 +606,6 @@ void parse_profile_section(const toml::Table& table, const std::string& source,
   TableReader reader(table, source, "[profile]");
   read_fields(reader, spec);
   reader.finish();
-  validated(reader, table.line, [&] { spec.validate(); });
 }
 
 void parse_slo_section(const toml::Table& table, const std::string& source,
@@ -587,7 +622,6 @@ void parse_slo_section(const toml::Table& table, const std::string& source,
     }
   }
   reader.finish();
-  validated(reader, table.line, [&] { spec.validate(); });
 }
 
 void parse_tenant_section(const toml::Table& table, const std::string& source,

@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -177,14 +178,22 @@ DeviceSpec parse_device_file(const std::string& path,
 memsim::WorkloadProfile parse_workload(const toml::Table& table,
                                        const std::string& source);
 
+/// True when some policy of `policies` reads [controller] knob `key`:
+/// the drain watermarks belong to read-first, `tenant_tokens` to
+/// token-budget, `starvation_cap` to frfcfs-cap, and every policy reads
+/// the queue depths.
+bool policies_read(const std::vector<sched::Policy>& policies,
+                   std::string_view key);
+
 /// Parses a `[controller]` table into the policy axis, the config
 /// template (keys: Schema<ControllerConfig>) and the `run_threads`
 /// axis (0 = one worker per hardware thread). `run_threads` alone does
 /// not engage scheduling: `policies` stays empty and replay stays
 /// direct. `policy` or any knob engages it, `policy` defaulting to
-/// `{fcfs}`. A `write_queue_depth` re-derives the drain watermarks not
-/// given explicitly (7/8 and 3/8 of a bounded depth). Schema
-/// violations and inconsistent watermarks raise toml::ParseError
+/// `{fcfs}`. A knob no policy on the axis reads is an error
+/// (policies_read). A `write_queue_depth` re-derives the drain
+/// watermarks not given explicitly (7/8 and 3/8 of a bounded depth).
+/// Schema violations and inconsistent watermarks raise toml::ParseError
 /// anchored to the offending line.
 void parse_controller_section(const toml::Table& table,
                               const std::string& source,

@@ -57,9 +57,12 @@ int main(int argc, char** argv) {
     // Stream the synthesized workload straight to the NVMain text format
     // (no materialized vector), so even huge traces dump in O(1) memory.
     try {
-      const auto profile = comet::memsim::profile_by_name(options.workload);
-      auto source = comet::memsim::TraceGenerator(profile, options.seed)
-                        .stream(options.requests, options.line_bytes);
+      // parse_args checked that the spec holds one synthetic workload.
+      const auto& spec = options.spec;
+      const auto& profile = spec.workloads.front();
+      const auto requests = static_cast<std::size_t>(spec.requests.front());
+      auto source = comet::memsim::TraceGenerator(profile, spec.seeds.front())
+                        .stream(requests, spec.line_bytes);
       std::ofstream out(options.dump_trace);
       if (!out) {
         std::cerr << "comet_sim: cannot open '" << options.dump_trace
@@ -68,15 +71,15 @@ int main(int argc, char** argv) {
       }
       comet::memsim::write_trace(
           out, source,
-          comet::memsim::TraceConfig{.cpu_clock_ghz = options.cpu_ghz,
-                                     .line_bytes = options.line_bytes});
+          comet::memsim::TraceConfig{.cpu_clock_ghz = spec.cpu_ghz,
+                                     .line_bytes = spec.line_bytes});
       out.close();
       if (out.fail()) {
         std::cerr << "comet_sim: error writing '" << options.dump_trace
                   << "' (disk full?)\n";
         return 1;
       }
-      std::cout << "wrote " << options.dump_trace << " (" << options.requests
+      std::cout << "wrote " << options.dump_trace << " (" << requests
                 << " requests, " << profile.name << ")\n";
     } catch (const std::exception& e) {
       std::cerr << "comet_sim: " << e.what() << "\n";
@@ -90,8 +93,7 @@ int main(int argc, char** argv) {
     // dumped spec replays anywhere `--config` does — the config analogue
     // of --dump-trace.
     try {
-      const auto spec =
-          resolve_experiment(experiment_from_options(options));
+      const auto spec = resolve_experiment(options.spec);
       std::ofstream out(options.dump_config);
       if (!out) {
         std::cerr << "comet_sim: cannot open '" << options.dump_config
@@ -131,7 +133,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    const auto jobs = build_matrix(options);
+    const auto jobs = build_matrix(options.spec);
     const auto start = std::chrono::steady_clock::now();
     std::vector<std::unique_ptr<comet::telemetry::Collector>> collectors;
 

@@ -7,59 +7,88 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
-#include "config/experiment.hpp"
-#include "config/metrics.hpp"
 #include "config/serialize.hpp"
 #include "driver/registry.hpp"
+#include "driver/sweep.hpp"
 #include "memsim/trace_gen.hpp"
 
 namespace comet::driver {
 
+namespace toml = config::toml;
+
+struct ParseState {
+  Options options;
+  /// The experiment flags, lowered. Its empty source leaves the
+  /// report's config_file empty for flag runs.
+  toml::Document doc;
+  std::string config;         ///< --config path.
+  HybridOverrides overrides;  ///< --cache-*.
+  std::set<std::string> given;
+  /// First experiment-defining flag, for the --config conflict: a
+  /// config file owns the whole experiment.
+  std::string experiment_flag;
+  /// The flags behind each document line: an argument position, or the
+  /// line of a lowered section (every flag lowered into it).
+  std::map<std::uint64_t, std::vector<std::string>> flags_at;
+  std::uint64_t next_section_line = 0;
+
+  void defines_experiment(const std::string& flag) {
+    if (experiment_flag.empty()) experiment_flag = flag;
+  }
+};
+
 namespace {
 
-std::uint64_t parse_u64(const std::string& flag, const std::string& value,
-                        std::uint64_t max = UINT64_MAX) {
+/// Digits only: stoull would skip whitespace and accept '-'/'+' signs
+/// (wrapping negatives to huge values), so screen the characters first.
+std::uint64_t parse_count(const std::string& flag, const std::string& arg,
+                          std::uint64_t max) {
   std::uint64_t parsed = 0;
   try {
-    // Digits only: stoull would skip whitespace and accept '-'/'+' signs
-    // (wrapping negatives to huge values), so screen the characters first.
-    if (value.empty() ||
-        value.find_first_not_of("0123456789") != std::string::npos) {
-      throw std::invalid_argument(value);
+    if (arg.empty() ||
+        arg.find_first_not_of("0123456789") != std::string::npos) {
+      throw std::invalid_argument(arg);
     }
-    parsed = std::stoull(value);
+    parsed = std::stoull(arg);
   } catch (const std::exception&) {
     throw std::invalid_argument(
-        flag + " expects a non-negative integer, got '" + value + "'");
+        flag + " expects a non-negative integer, got '" + arg + "'");
   }
   if (parsed > max) {
-    throw std::invalid_argument(flag + " value " + value +
+    throw std::invalid_argument(flag + " value " + arg +
                                 " exceeds the maximum of " +
                                 std::to_string(max));
   }
   return parsed;
 }
 
-/// Plain decimal only (digits, at most one '.', at least one digit):
-/// no signs, exponents, hex floats, inf/nan or locale surprises — the
-/// same strictness as parse_u64. Zero passes only when `positive` is
-/// false; `what` leads the diagnostic.
-double parse_decimal(const std::string& what, const std::string& value,
-                     bool positive) {
+std::uint64_t parse_positive(const std::string& flag, const std::string& arg,
+                             std::uint64_t max) {
+  const std::uint64_t parsed = parse_count(flag, arg, max);
+  if (parsed == 0) throw std::invalid_argument(flag + " must be >= 1");
+  return parsed;
+}
+
+/// Plain decimal only (digits, at most one '.', at least one digit): no
+/// signs, exponents, hex floats, inf/nan or locale surprises — the same
+/// strictness as parse_count. `what` leads the diagnostic.
+double parse_decimal(const std::string& what, const std::string& arg) {
   errno = 0;
   const bool plain =
-      value.find_first_of("0123456789") != std::string::npos &&
-      value.find_first_not_of("0123456789.") == std::string::npos &&
-      value.find('.') == value.rfind('.');
-  const double parsed = plain ? std::strtod(value.c_str(), nullptr) : 0.0;
-  if (!plain || errno != 0 || !std::isfinite(parsed) ||
-      (positive && parsed <= 0.0)) {
-    throw std::invalid_argument(what + " expects a " +
-                                (positive ? "positive" : "non-negative") +
-                                " decimal number, got '" + value + "'");
+      arg.find_first_of("0123456789") != std::string::npos &&
+      arg.find_first_not_of("0123456789.") == std::string::npos &&
+      arg.find('.') == arg.rfind('.');
+  const double parsed = plain ? std::strtod(arg.c_str(), nullptr) : 0.0;
+  if (!plain || errno != 0 || !std::isfinite(parsed)) {
+    throw std::invalid_argument(
+        what + " expects a non-negative decimal number, got '" + arg + "'");
   }
   return parsed;
 }
@@ -74,590 +103,507 @@ bool file_readable(const std::string& path) {
   return probe.is_open() && !probe.bad();
 }
 
+toml::Value string_value(std::string text, std::uint64_t line) {
+  toml::Value value;
+  value.str = std::move(text);
+  value.line = line;
+  return value;
+}
+
+toml::Value decimal_value(double number, std::uint64_t line) {
+  toml::Value value;
+  value.type = toml::Value::Type::kFloat;
+  value.number = number;
+  value.line = line;
+  return value;
+}
+
+/// The [name] table of the lowered document, created on first use with
+/// a line of its own that maps back to every flag lowered into it.
+toml::Table& section(ParseState& s, const std::string& name,
+                     const std::string& flag) {
+  auto [it, created] = s.doc.root.children.try_emplace(name);
+  toml::Table& table = it->second;
+  if (created) {
+    table.line = s.next_section_line++;
+    table.defined = true;
+  }
+  auto& flags = s.flags_at[table.line];
+  if (std::ranges::find(flags, flag) == flags.end()) flags.push_back(flag);
+  return table;
+}
+
+/// --tenants: one [tenant.NAME] sub-section per entry, replacing the
+/// streams of an earlier --tenants (the last flag wins).
+void lower_tenants(toml::Table& tenant, const std::string& list,
+                   std::uint64_t line) {
+  const std::string shape =
+      "--tenants entries look like name=workload[:interarrival_ns"
+      "[:burstiness]] or name=@trace-file";
+  tenant.children.clear();
+  std::stringstream entries(list);
+  std::string entry;
+  while (std::getline(entries, entry, ',')) {
+    const std::size_t eq = entry.find('=');
+    if (eq == std::string::npos || eq == 0 || eq + 1 >= entry.size()) {
+      throw std::invalid_argument(shape + "; got '" + entry + "'");
+    }
+    const std::string name = entry.substr(0, eq);
+    const std::string body = entry.substr(eq + 1);
+    const auto [it, fresh] = tenant.children.try_emplace(name);
+    if (!fresh) {
+      throw std::invalid_argument("--tenants: duplicate tenant name '" +
+                                  name + "'");
+    }
+    toml::Table& stream = it->second;
+    stream.line = line;
+    stream.defined = true;
+    if (body.front() == '@') {
+      if (body.size() == 1) {
+        throw std::invalid_argument("--tenants: tenant '" + name +
+                                    "': '@' needs a trace-file path");
+      }
+      stream.values["trace_file"] = string_value(body.substr(1), line);
+      continue;
+    }
+    std::vector<std::string> parts;
+    std::stringstream fields(body);
+    std::string part;
+    while (std::getline(fields, part, ':')) parts.push_back(part);
+    if (parts.empty() || parts.size() > 3) {
+      throw std::invalid_argument(shape + "; got '" + entry + "'");
+    }
+    stream.values["workload"] = string_value(parts[0], line);
+    // Zero is fine: a zero rate/burstiness keeps the default meaning.
+    if (parts.size() > 1) {
+      stream.values["interarrival_ns"] = decimal_value(
+          parse_decimal("--tenants: interarrival_ns", parts[1]), line);
+    }
+    if (parts.size() > 2) {
+      stream.values["burstiness"] = decimal_value(
+          parse_decimal("--tenants: burstiness", parts[2]), line);
+    }
+  }
+}
+
+/// Lowers one keyed flag's argument to its document key; the value
+/// remembers the argument position as its line.
+void lower(ParseState& s, const Flag& row, const std::string& arg,
+           std::uint64_t line) {
+  const std::string_view key = row.key;
+  const std::size_t dot = key.find('.');
+  toml::Table& table = section(s, std::string(key.substr(0, dot)), row.name);
+  if (row.value == FlagValue::kTenants) {
+    lower_tenants(table, arg, line);
+    return;
+  }
+  toml::Value value = string_value(arg, line);
+  if (row.value == FlagValue::kNone) {
+    value.type = toml::Value::Type::kBoolean;
+    value.boolean = true;
+  } else if (row.value == FlagValue::kCount ||
+             row.value == FlagValue::kPeriod) {
+    value.type = toml::Value::Type::kInteger;
+    value.integer =
+        static_cast<std::int64_t>(parse_count(row.name, arg, INT64_MAX));
+    value.number = static_cast<double>(value.integer);
+  } else if (row.value == FlagValue::kDecimal) {
+    value = decimal_value(parse_decimal(row.name, arg), line);
+  }
+  table.values[std::string(key.substr(dot + 1))] = std::move(value);
+}
+
+std::string device_choices() {
+  std::string out = "all";
+  for (const auto& name : known_devices()) out += ", " + name;
+  out += ", hybrid-all";
+  for (const auto& name : known_hybrid_devices()) out += ", " + name;
+  return out;
+}
+
+std::string workload_choices() {
+  std::string out = "all";
+  for (const auto& profile : memsim::spec_like_profiles()) {
+    out += ", " + profile.name;
+  }
+  return out;
+}
+
+using F = FlagValue;
+using Arg = const std::string&;
+
+// Columns: name, metavar, value, document key (nullptr: driver row),
+// help, driver setter, refined flag.
+const Flag kFlags[] = {
+    {"--device", "<name|all>", F::kText, "experiment.devices",
+     "architecture to simulate (default: all)"},
+    {"--workload", "<name|all>", F::kText, "experiment.workloads",
+     "SPEC-like profile (default: all)"},
+    {"--config", "<path>", F::kText, nullptr,
+     "run the experiment described by a TOML spec (devices, workloads, "
+     "sweep axes); conflicts with every flag that has a config key and "
+     "with --device-file, --cache-* and --dump-trace",
+     [](ParseState& s, Arg, Arg path) { s.config = path; }},
+    {"--device-file", "<path>", F::kText, nullptr,
+     "add the device defined in a [device] TOML file to the sweep "
+     "(repeatable; without --device it replaces the default all)",
+     [](ParseState& s, Arg flag, Arg path) {
+       // Parsed alone first, so a bad file fails with its own file:line;
+       // its [device] table then joins the document as a [[device]].
+       (void)config::parse_device_file(path, registry_resolver());
+       s.doc.root.arrays["device"].push_back(
+           toml::parse_file(path).root.children.at("device"));
+       s.defines_experiment(flag);
+     }},
+    {"--dump-config", "<path>", F::kText, nullptr,
+     "write the fully resolved experiment spec (config analogue of "
+     "--dump-trace) and exit",
+     [](ParseState& s, Arg, Arg path) { s.options.dump_config = path; }},
+    {"--channels", "N", F::kCount, "experiment.channels",
+     "override the device channel count (default: 0 = each device's own)"},
+    {"--requests", "N", F::kCount, "experiment.requests",
+     "requests per run (default: 20000)"},
+    {"--threads", "N", F::kCount, nullptr,
+     "sweep worker threads (default: hardware)",
+     [](ParseState& s, Arg flag, Arg arg) {
+       s.options.threads = static_cast<int>(parse_count(flag, arg, INT_MAX));
+     }},
+    {"--run-threads", "N", F::kCount, "controller.run_threads",
+     "per-channel replay worker threads inside each scheduled or hybrid "
+     "run (default: 1 = inline; 0 = hardware threads); flat direct "
+     "replay is always serial (too cheap per request for lanes to pay); "
+     "results are bit-identical for any value"},
+    {"--seed", "N", F::kCount, "experiment.seed",
+     "trace RNG seed (default: 42)"},
+    {"--line-bytes", "N", F::kCount, "experiment.line_bytes",
+     "request line size (default: 128)"},
+    {"--cache-mb", "N", F::kCount, nullptr,
+     "hybrid devices: DRAM cache capacity [MiB]",
+     [](ParseState& s, Arg flag, Arg arg) {
+       // Bounded so the capacity in bytes fits comfortably in 64 bits.
+       s.overrides.cache_mb = parse_positive(flag, arg, 1ull << 30);
+       s.defines_experiment(flag);
+     }},
+    {"--cache-ways", "N", F::kCount, nullptr,
+     "hybrid devices: cache associativity",
+     [](ParseState& s, Arg flag, Arg arg) {
+       s.overrides.cache_ways =
+           static_cast<int>(parse_positive(flag, arg, INT_MAX));
+       s.defines_experiment(flag);
+     }},
+    {"--cache-policy", "<p>", F::kText, nullptr,
+     "hybrid devices: write-allocate (default) or write-no-allocate",
+     [](ParseState& s, Arg flag, Arg arg) {
+       (void)config::cache_policy_from_name(arg);
+       s.overrides.cache_policy = arg;
+       s.defines_experiment(flag);
+     }},
+    {"--schedule", "<policy>", F::kText, "controller.policy",
+     "engage the memory-controller scheduler: fcfs (in-order), frfcfs "
+     "(open-row reuse), read-first (write-drain watermarks), token-budget "
+     "or frfcfs-cap (fairness-aware FR-FCFS variants; see "
+     "--list-policies)"},
+    {"--read-q", "N", F::kCount, "controller.read_queue_depth",
+     "scheduler read-queue depth per channel (default: 32; 0 = unbounded)",
+     nullptr, "--schedule"},
+    {"--write-q", "N", F::kCount, "controller.write_queue_depth",
+     "scheduler write-queue depth per channel (default: 32; 0 = "
+     "unbounded)",
+     nullptr, "--schedule"},
+    {"--drain-high", "N", F::kCount, "controller.drain_high_watermark",
+     "write-drain high watermark, read-first only (default: 7/8 of the "
+     "write-queue depth)",
+     nullptr, "--schedule"},
+    {"--drain-low", "N", F::kCount, "controller.drain_low_watermark",
+     "write-drain low watermark, read-first only (default: 3/8 of the "
+     "write-queue depth)",
+     nullptr, "--schedule"},
+    {"--tenants", "<list>", F::kTenants, "tenant.NAME",
+     "multi-tenant run: comma-separated streams "
+     "name=workload[:interarrival_ns[:burst]] or name=@trace-file, merged "
+     "into one interleaved run with per-tenant latency, slowdown-vs-alone "
+     "and Jain fairness stats"},
+    {"--tenant-mapping", "<m>", F::kText, "tenant.mapping",
+     "tenant address spaces: partition (default, disjoint 1 TiB slabs) or "
+     "interleave (line-granular sharing, maximal contention)"},
+    {"--tenant-tokens", "N", F::kCount, "controller.tenant_tokens",
+     "token-budget policy: per-tenant scheduling tokens per refill "
+     "(default: 64)",
+     nullptr, "--schedule"},
+    {"--starvation-cap", "N", F::kCount, "controller.starvation_cap",
+     "frfcfs-cap policy: times a queued tenant may be passed over before "
+     "it outranks row hits (default: 16)",
+     nullptr, "--schedule"},
+    {"--trace-file", "<path>", F::kText, "experiment.trace_file",
+     "replay an on-disk NVMain trace (streamed, O(1) memory) instead of a "
+     "synthetic workload; replay ignores --requests/--seed"},
+    {"--cpu-ghz", "X", F::kDecimal, "experiment.cpu_ghz",
+     "CPU clock for trace cycle->time conversion (default: 2.0)"},
+    {"--dump-trace", "<path>", F::kText, nullptr,
+     "write the synthesized trace for a single --workload to <path> and "
+     "exit",
+     [](ParseState& s, Arg flag, Arg path) {
+       s.options.dump_trace = path;
+       s.defines_experiment(flag);
+     }},
+    {"--trace-out", "<path>", F::kText, "telemetry.trace_out",
+     "write a Chrome trace-event JSON of every request's lifecycle (open "
+     "in Perfetto: one track per channel and bank)"},
+    {"--trace-limit", "N", F::kCount, "telemetry.trace_limit",
+     "cap on recorded trace events per run (default: 1000000; 0 = "
+     "unlimited); the trace records what was dropped"},
+    {"--metrics-interval", "N", F::kCount, "telemetry.metrics_interval_ns",
+     "sample an epoch metrics time-series every N ns (bandwidth, queue "
+     "occupancy, drain activity, latency percentiles) into the --json "
+     "report's timeline array"},
+    {"--metrics-csv", "<path>", F::kText, "telemetry.metrics_csv",
+     "also write the timeline as CSV"},
+    {"--profile", "", F::kNone, "profile.enabled",
+     "record a host-side run profile (stage wall times, lane utilization, "
+     "queue stalls, peak RSS) into each record's JSON host object and a "
+     "console table; never changes the simulated results"},
+    {"--progress", "[=ms]", F::kPeriod, "profile.progress_ms",
+     "live heartbeat on stderr while the sweep runs: completed/total "
+     "requests, req/s, ETA, RSS (default period: 500 ms)"},
+    {"--assert-slo", "<list>", F::kText, "slo.assert",
+     "comma-separated run health gates over the --json record's numbers, "
+     "e.g. \"p99_read_latency_ns<=2500,host.requests_per_s>=5e6\"; any "
+     "violated predicate exits 3"},
+    {"--json", "<path>", F::kText, nullptr,
+     "also write machine-readable JSON",
+     [](ParseState& s, Arg, Arg path) { s.options.json_path = path; }},
+    {"--csv", "", F::kNone, nullptr, "print CSV instead of aligned tables",
+     [](ParseState& s, Arg, Arg) { s.options.csv = true; }},
+    {"--list-devices", "", F::kNone, nullptr,
+     "print every device token and exit",
+     [](ParseState& s, Arg, Arg) { s.options.list_devices = true; }},
+    {"--list-workloads", "", F::kNone, nullptr,
+     "print every workload name and exit",
+     [](ParseState& s, Arg, Arg) { s.options.list_workloads = true; }},
+    {"--list-policies", "", F::kNone, nullptr,
+     "print every scheduling policy (token, behaviour, knobs) and exit",
+     [](ParseState& s, Arg, Arg) { s.options.list_policies = true; }},
+    {"--help", "", F::kNone, nullptr, "this text (also -h)",
+     [](ParseState& s, Arg, Arg) { s.options.help = true; }},
+};
+
+/// The period of a bare --progress: two heartbeat ticks a second.
+constexpr const char* kDefaultProgressMs = "500";
+
+const Flag* find_flag(std::string_view name) {
+  for (const Flag& row : kFlags) {
+    if (row.name == name) return &row;
+  }
+  return nullptr;
+}
+
+/// Reads the lowered document with the reader --config files use. A
+/// reader diagnostic is re-raised naming the flags behind its line.
+config::ExperimentSpec read_flags(ParseState& s) {
+  toml::Table& experiment = s.doc.root.children.at("experiment");
+  // A flag run defaults to every flat device and every workload.
+  if (!s.doc.root.arrays.count("device")) {
+    experiment.values.try_emplace("devices", string_value("all", 0));
+  }
+  if (!s.doc.root.children.count("tenant") &&
+      !experiment.values.count("trace_file")) {
+    experiment.values.try_emplace("workloads", string_value("all", 0));
+  }
+  config::ExperimentSpec spec;
+  try {
+    spec = config::parse_experiment(s.doc, registry_resolver());
+  } catch (const toml::ParseError& e) {
+    std::string flags;
+    if (const auto it = s.flags_at.find(e.line());
+        e.line() != 0 && it != s.flags_at.end()) {
+      for (const auto& flag : it->second) {
+        flags += (flags.empty() ? "" : "/") + flag;
+      }
+      flags += ": ";
+    }
+    throw std::invalid_argument(flags + e.message());
+  }
+  // Fail a bad path at parse time (exit 2), not deep inside a sweep.
+  if (!spec.trace_file.empty() && !file_readable(spec.trace_file)) {
+    throw std::invalid_argument("--trace-file: cannot open '" +
+                                spec.trace_file + "'");
+  }
+  for (const auto& tenant : spec.tenants) {
+    if (!tenant.trace_file.empty() && !file_readable(tenant.trace_file)) {
+      throw std::invalid_argument("--tenants: tenant '" + tenant.name +
+                                  "': cannot open '" + tenant.trace_file +
+                                  "'");
+    }
+  }
+  // The --cache-* overrides target every hybrid of the matrix, token-
+  // or file-defined alike, so they apply to the resolved devices.
+  spec = resolve_experiment(std::move(spec));
+  for (auto& device : spec.devices) {
+    device = apply_hybrid_overrides(std::move(device), s.overrides);
+  }
+  return spec;
+}
+
+/// Parses a --config document and resolves its registry tokens, profile
+/// names and trace file now, so a typo inside the document is a
+/// parse-time failure exactly like its flag equivalent.
+config::ExperimentSpec read_config(const std::string& path) {
+  auto spec = config::parse_experiment_file(path, registry_resolver());
+  try {
+    spec = resolve_experiment(std::move(spec));
+  } catch (const std::exception& e) {
+    throw std::invalid_argument(path + ": " + e.what());
+  }
+  if (!spec.trace_file.empty() && !file_readable(spec.trace_file)) {
+    throw std::invalid_argument(path + ": trace_file: cannot open '" +
+                                spec.trace_file + "'");
+  }
+  return spec;
+}
+
 }  // namespace
 
+std::span<const Flag> flag_table() { return kFlags; }
+
 Options parse_args(const std::vector<std::string>& args) {
-  Options opt;
-  // First matrix-defining flag seen, for the --config conflict
-  // diagnostic: a config file owns the whole matrix.
-  std::string matrix_flag;
-  const auto matrix = [&](const std::string& flag) {
-    if (matrix_flag.empty()) matrix_flag = flag;
-  };
+  ParseState s;
+  // Section lines follow the argument positions, so every document line
+  // maps back to the flags behind it. [experiment] keeps line 0: its
+  // whole-spec diagnostics belong to no single flag.
+  s.next_section_line = args.size() + 1;
+  toml::Table& experiment = s.doc.root.children["experiment"];
+  experiment.defined = true;
+  experiment.values["name"] = string_value("cli", 0);
+
   for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& flag = args[i];
-    if (flag == "--help" || flag == "-h") {
-      opt.help = true;
-      return opt;
+    const std::uint64_t line = i + 1;
+    std::string name = args[i] == "-h" ? "--help" : args[i];
+    std::optional<std::string> attached;
+    if (const std::size_t eq = name.find('='); eq != std::string::npos) {
+      attached = name.substr(eq + 1);
+      name.resize(eq);
     }
-    if (flag == "--csv") {
-      opt.csv = true;
-      continue;
-    }
-    if (flag == "--list-devices") {
-      opt.list_devices = true;
-      continue;
-    }
-    if (flag == "--list-workloads") {
-      opt.list_workloads = true;
-      continue;
-    }
-    if (flag == "--list-policies") {
-      opt.list_policies = true;
-      continue;
-    }
-    if (flag == "--profile") {
-      opt.profile = true;
-      matrix(flag);
-      continue;
-    }
-    // --progress takes an optional =ms value (there is no way to make a
-    // space-separated value optional), defaulting to two ticks a second.
-    if (flag == "--progress") {
-      opt.progress_ms = 500;
-      matrix(flag);
-      continue;
-    }
-    if (flag.rfind("--progress=", 0) == 0) {
-      opt.progress_ms =
-          parse_u64("--progress", flag.substr(std::string("--progress=").size()));
-      if (opt.progress_ms == 0) {
-        throw std::invalid_argument(
-            "--progress interval must be >= 1 (milliseconds between updates)");
-      }
-      matrix("--progress");
-      continue;
-    }
-    const auto next = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) {
-        throw std::invalid_argument(flag + " requires a value");
-      }
-      return args[++i];
-    };
-    if (flag == "--device") {
-      opt.device = next();
-      opt.device_given = true;
-      matrix(flag);
-    } else if (flag == "--workload") {
-      opt.workload = next();
-      opt.workload_given = true;
-      matrix(flag);
-    } else if (flag == "--channels") {
-      opt.channels = static_cast<int>(parse_u64(flag, next(), INT_MAX));
-      if (opt.channels <= 0) {
-        throw std::invalid_argument("--channels must be >= 1");
-      }
-      matrix(flag);
-    } else if (flag == "--requests") {
-      opt.requests =
-          static_cast<std::size_t>(parse_u64(flag, next(), SIZE_MAX));
-      if (opt.requests == 0) {
-        throw std::invalid_argument("--requests must be >= 1");
-      }
-      matrix(flag);
-    } else if (flag == "--threads") {
-      opt.threads = static_cast<int>(parse_u64(flag, next(), INT_MAX));
-    } else if (flag == "--run-threads") {
-      opt.run_threads = static_cast<int>(parse_u64(flag, next(), INT_MAX));
-      matrix(flag);
-    } else if (flag == "--seed") {
-      opt.seed = parse_u64(flag, next());
-      matrix(flag);
-    } else if (flag == "--line-bytes") {
-      opt.line_bytes =
-          static_cast<std::uint32_t>(parse_u64(flag, next(), UINT32_MAX));
-      if (opt.line_bytes == 0) {
-        throw std::invalid_argument("--line-bytes must be >= 1");
-      }
-      matrix(flag);
-    } else if (flag == "--cache-mb") {
-      // Bounded so the capacity in bytes fits comfortably in 64 bits.
-      opt.cache_mb = parse_u64(flag, next(), 1ull << 30);
-      if (*opt.cache_mb == 0) {
-        throw std::invalid_argument("--cache-mb must be >= 1");
-      }
-      matrix(flag);
-    } else if (flag == "--cache-ways") {
-      opt.cache_ways = static_cast<int>(parse_u64(flag, next(), INT_MAX));
-      if (*opt.cache_ways == 0) {
-        throw std::invalid_argument("--cache-ways must be >= 1");
-      }
-      matrix(flag);
-    } else if (flag == "--cache-policy") {
-      opt.cache_policy = next();
-      (void)config::cache_policy_from_name(*opt.cache_policy);
-      matrix(flag);
-    } else if (flag == "--schedule") {
-      opt.schedule = next();
-      (void)sched::policy_from_name(opt.schedule);
-      matrix(flag);
-    } else if (flag == "--read-q") {
-      opt.read_q = static_cast<int>(parse_u64(flag, next(), INT_MAX));
-      matrix(flag);
-    } else if (flag == "--write-q") {
-      opt.write_q = static_cast<int>(parse_u64(flag, next(), INT_MAX));
-      matrix(flag);
-    } else if (flag == "--drain-high") {
-      opt.drain_high = static_cast<int>(parse_u64(flag, next(), INT_MAX));
-      matrix(flag);
-    } else if (flag == "--drain-low") {
-      opt.drain_low = static_cast<int>(parse_u64(flag, next(), INT_MAX));
-      matrix(flag);
-    } else if (flag == "--config") {
-      opt.config = next();
-      if (opt.config.empty()) {
-        throw std::invalid_argument("--config requires a non-empty path");
-      }
-    } else if (flag == "--device-file") {
-      const std::string& path = next();
-      if (path.empty()) {
-        throw std::invalid_argument("--device-file requires a non-empty path");
-      }
-      opt.device_files.push_back(path);
-      matrix(flag);
-    } else if (flag == "--dump-config") {
-      opt.dump_config = next();
-      if (opt.dump_config.empty()) {
-        throw std::invalid_argument("--dump-config requires a non-empty path");
-      }
-    } else if (flag == "--trace-file") {
-      opt.trace_file = next();
-      if (opt.trace_file.empty()) {
-        throw std::invalid_argument("--trace-file requires a non-empty path");
-      }
-      matrix(flag);
-    } else if (flag == "--cpu-ghz") {
-      opt.cpu_ghz = parse_decimal(flag, next(), /*positive=*/true);
-      matrix(flag);
-    } else if (flag == "--dump-trace") {
-      opt.dump_trace = next();
-      if (opt.dump_trace.empty()) {
-        throw std::invalid_argument("--dump-trace requires a non-empty path");
-      }
-      matrix(flag);
-    } else if (flag == "--tenants") {
-      opt.tenants = next();
-      if (opt.tenants.empty()) {
-        throw std::invalid_argument("--tenants requires a non-empty list");
-      }
-      matrix(flag);
-    } else if (flag == "--tenant-mapping") {
-      opt.tenant_mapping = next();
-      (void)config::tenant_mapping_from_name(opt.tenant_mapping);
-      matrix(flag);
-    } else if (flag == "--tenant-tokens") {
-      opt.tenant_tokens = static_cast<int>(parse_u64(flag, next(), INT_MAX));
-      if (*opt.tenant_tokens == 0) {
-        throw std::invalid_argument("--tenant-tokens must be >= 1");
-      }
-      matrix(flag);
-    } else if (flag == "--starvation-cap") {
-      opt.starvation_cap = static_cast<int>(parse_u64(flag, next(), INT_MAX));
-      if (*opt.starvation_cap == 0) {
-        throw std::invalid_argument("--starvation-cap must be >= 1");
-      }
-      matrix(flag);
-    } else if (flag == "--trace-out") {
-      opt.trace_out = next();
-      if (opt.trace_out.empty()) {
-        throw std::invalid_argument("--trace-out requires a non-empty path");
-      }
-      matrix(flag);
-    } else if (flag == "--trace-limit") {
-      opt.trace_limit = parse_u64(flag, next());
-      matrix(flag);
-    } else if (flag == "--metrics-interval") {
-      opt.metrics_interval_ns = parse_u64(flag, next(), UINT64_MAX / 1000);
-      if (*opt.metrics_interval_ns == 0) {
-        throw std::invalid_argument(
-            "--metrics-interval must be >= 1 (nanoseconds per epoch)");
-      }
-      matrix(flag);
-    } else if (flag == "--metrics-csv") {
-      opt.metrics_csv = next();
-      if (opt.metrics_csv.empty()) {
-        throw std::invalid_argument("--metrics-csv requires a non-empty path");
-      }
-      matrix(flag);
-    } else if (flag == "--assert-slo") {
-      opt.assert_slo = next();
-      if (opt.assert_slo.empty()) {
-        throw std::invalid_argument(
-            "--assert-slo requires a predicate list, e.g. "
-            "\"p99_read_latency_ns<=2500,host.requests_per_s>=5e6\"");
-      }
-      matrix(flag);
-    } else if (flag == "--json") {
-      opt.json_path = next();
-      if (opt.json_path.empty()) {
-        throw std::invalid_argument("--json requires a non-empty path");
-      }
-    } else {
-      throw std::invalid_argument("unknown flag '" + flag +
+    const Flag* row = find_flag(name);
+    if (!row || (attached && row->value != FlagValue::kPeriod)) {
+      throw std::invalid_argument("unknown flag '" + args[i] +
                                   "' (see --help)");
+    }
+    std::string arg;
+    if (row->value == FlagValue::kPeriod) {
+      arg = attached.value_or(kDefaultProgressMs);
+    } else if (row->value != FlagValue::kNone) {
+      if (i + 1 >= args.size()) {
+        throw std::invalid_argument(name + " requires a value");
+      }
+      arg = args[++i];
+      if (arg.empty() && row->value != FlagValue::kCount &&
+          row->value != FlagValue::kDecimal) {
+        throw std::invalid_argument(name + " requires a non-empty value");
+      }
+    }
+    s.given.insert(name);
+    if (row->key) {
+      s.flags_at[line] = {name};
+      s.defines_experiment(name);
+      lower(s, *row, arg, line);
+    } else {
+      row->set(s, name, arg);
+      if (s.options.help) return s.options;
     }
   }
 
-  // Validate names, files and flag combinations eagerly so a typo, an
-  // inconsistent cache geometry or a malformed config document fails
-  // with exit 2 before any simulation runs. `all` is flat-only, so
-  // cache overrides cannot invalidate it.
-  if (!opt.config.empty() && !matrix_flag.empty()) {
+  if (!s.config.empty() && !s.experiment_flag.empty()) {
     throw std::invalid_argument(
-        "--config cannot be combined with " + matrix_flag +
+        "--config cannot be combined with " + s.experiment_flag +
         " (the config file defines the whole experiment)");
   }
-  if (!opt.config.empty()) {
-    // Parse and schema-check the document now, including the pieces the
-    // schema alone cannot settle: registry tokens, profile names and the
-    // trace file must all resolve so every typo is an exit-2 parse
-    // failure, exactly like its CLI-flag equivalent. The sweep re-reads
-    // the file later — config documents are small, and re-parsing keeps
-    // Options a plain value struct.
-    const auto spec =
-        config::parse_experiment_file(opt.config, registry_resolver());
-    try {
-      for (const auto& token : spec.device_tokens) {
-        (void)resolve_device_specs(token);
-      }
-      for (const auto& name : spec.workload_names) {
-        if (name != "all") (void)memsim::profile_by_name(name);
-      }
-    } catch (const std::exception& e) {
-      throw std::invalid_argument(opt.config + ": " + e.what());
-    }
-    if (!spec.trace_file.empty() && !file_readable(spec.trace_file)) {
-      throw std::invalid_argument(opt.config + ": trace_file: cannot open '" +
-                                  spec.trace_file + "'");
+  // The document defaults `policy` to fcfs; on the command line a queue
+  // knob without --schedule is a forgotten flag, not a request for fcfs.
+  for (const Flag& row : kFlags) {
+    if (row.needs && s.given.count(row.name) && !s.given.count(row.needs)) {
+      throw std::invalid_argument(std::string(row.name) + " requires " +
+                                  row.needs);
     }
   }
-  for (const auto& path : opt.device_files) {
-    (void)config::parse_device_file(path, registry_resolver());
-  }
-  if (opt.tenants.empty()) {
-    if (!opt.tenant_mapping.empty()) {
+  Options& opt = s.options;
+  opt.spec = s.config.empty() ? read_flags(s) : read_config(s.config);
+
+  if (!opt.dump_trace.empty()) {
+    if (!opt.dump_config.empty()) {
       throw std::invalid_argument(
-          "--tenant-mapping requires --tenants (there are no streams to map)");
+          "--dump-trace and --dump-config cannot be combined");
     }
-  } else {
-    if (opt.workload_given) {
-      throw std::invalid_argument(
-          "--tenants and --workload cannot be combined (the tenant list "
-          "defines the demand; give each tenant its own workload)");
-    }
-    if (!opt.trace_file.empty()) {
-      throw std::invalid_argument(
-          "--tenants and --trace-file cannot be combined (use the "
-          "name=@trace-file tenant form instead)");
-    }
-    if (!opt.dump_trace.empty()) {
+    if (!opt.spec.tenants.empty()) {
       throw std::invalid_argument(
           "--tenants and --dump-trace cannot be combined (a trace file holds "
           "one request stream)");
     }
-    // Parse the list now so malformed entries, unknown profiles,
-    // duplicate names and unreadable trace tenants all exit 2.
-    for (const auto& tenant : tenants_from_options(opt)) {
-      if (!tenant.trace_file.empty() && !file_readable(tenant.trace_file)) {
-        throw std::invalid_argument("--tenants: tenant '" + tenant.name +
-                                    "': cannot open '" + tenant.trace_file +
-                                    "'");
-      }
-    }
-  }
-  if (!opt.trace_file.empty() && !opt.dump_trace.empty()) {
-    throw std::invalid_argument(
-        "--trace-file and --dump-trace cannot be combined (one replays a "
-        "trace, the other writes one)");
-  }
-  if (!opt.dump_trace.empty() && !opt.dump_config.empty()) {
-    throw std::invalid_argument(
-        "--dump-trace and --dump-config cannot be combined");
-  }
-  if (!opt.trace_file.empty() && !file_readable(opt.trace_file)) {
-    // Fail a bad path at parse time (exit 2), not deep inside a sweep.
-    throw std::invalid_argument("--trace-file: cannot open '" +
-                                opt.trace_file + "'");
-  }
-  if (!opt.dump_trace.empty() && opt.workload == "all") {
-    throw std::invalid_argument(
-        "--dump-trace requires a single --workload (a trace file holds one "
-        "request stream, not a matrix)");
-  }
-  if (opt.device != "all") {
-    (void)resolve_device_specs(
-        opt.device, HybridOverrides{.cache_mb = opt.cache_mb,
-                                    .cache_ways = opt.cache_ways,
-                                    .cache_policy = opt.cache_policy});
-  }
-  if (opt.workload != "all") (void)memsim::profile_by_name(opt.workload);
-  // Inconsistent scheduler flags (depths/watermarks without --schedule,
-  // watermarks the bounded queue can never reach) also exit 2 here.
-  (void)scheduler_from_options(opt);
-  // Same for the telemetry flags (--trace-limit without --trace-out,
-  // --metrics-csv without --metrics-interval).
-  (void)telemetry_from_options(opt);
-  // And the host-observability flags: a malformed or unknown-metric
-  // --assert-slo expression exits 2 before any simulation.
-  (void)prof_from_options(opt);
-  return opt;
-}
-
-std::optional<sched::ControllerConfig> scheduler_from_options(
-    const Options& options) {
-  if (options.schedule.empty()) {
-    if (options.read_q || options.write_q || options.drain_high ||
-        options.drain_low) {
+    if (!opt.spec.trace_file.empty()) {
       throw std::invalid_argument(
-          "--read-q/--write-q/--drain-high/--drain-low require --schedule");
+          "--trace-file and --dump-trace cannot be combined (one replays a "
+          "trace, the other writes one)");
     }
-    if (options.tenant_tokens || options.starvation_cap) {
+    if (opt.spec.workloads.size() != 1) {
       throw std::invalid_argument(
-          "--tenant-tokens/--starvation-cap require --schedule");
-    }
-    return std::nullopt;
-  }
-  auto config = sched::ControllerConfig::with_depths(
-      sched::policy_from_name(options.schedule), options.read_q.value_or(32),
-      options.write_q.value_or(32));
-  // Only read-first drains writes; accepting watermarks for the other
-  // policies would silently ignore them (the --cache-* precedent).
-  if (config.policy != sched::Policy::kReadFirst &&
-      (options.drain_high || options.drain_low)) {
-    throw std::invalid_argument(
-        "--drain-high/--drain-low apply to --schedule read-first only "
-        "(the " + options.schedule + " policy never drains writes)");
-  }
-  if (options.drain_high) config.drain_high_watermark = *options.drain_high;
-  if (options.drain_low) config.drain_low_watermark = *options.drain_low;
-  // The fairness knobs refine their own policy only, for the same
-  // reason: every other policy would silently ignore them.
-  if (options.tenant_tokens && config.policy != sched::Policy::kTokenBudget) {
-    throw std::invalid_argument(
-        "--tenant-tokens applies to --schedule token-budget only (the " +
-        options.schedule + " policy keeps no token buckets)");
-  }
-  if (options.starvation_cap && config.policy != sched::Policy::kFrFcfsCap) {
-    throw std::invalid_argument(
-        "--starvation-cap applies to --schedule frfcfs-cap only (the " +
-        options.schedule + " policy keeps no starvation counters)");
-  }
-  if (options.tenant_tokens) config.tenant_tokens = *options.tenant_tokens;
-  if (options.starvation_cap) config.starvation_cap = *options.starvation_cap;
-  config.validate();
-  return config;
-}
-
-std::vector<config::TenantSpec> tenants_from_options(const Options& options) {
-  std::vector<config::TenantSpec> tenants;
-  if (options.tenants.empty()) return tenants;
-  const char* const shape =
-      "--tenants entries look like name=workload[:interarrival_ns"
-      "[:burstiness]] or name=@trace-file";
-  std::stringstream list(options.tenants);
-  std::string entry;
-  while (std::getline(list, entry, ',')) {
-    const std::size_t eq = entry.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 >= entry.size()) {
-      throw std::invalid_argument(std::string(shape) + "; got '" + entry +
-                                  "'");
-    }
-    config::TenantSpec spec;
-    spec.name = entry.substr(0, eq);
-    const std::string body = entry.substr(eq + 1);
-    if (body.front() == '@') {
-      if (body.size() == 1) {
-        throw std::invalid_argument("--tenants: tenant '" + spec.name +
-                                    "': '@' needs a trace-file path");
-      }
-      spec.trace_file = body.substr(1);
-    } else {
-      std::vector<std::string> parts;
-      std::stringstream fields(body);
-      std::string part;
-      while (std::getline(fields, part, ':')) parts.push_back(part);
-      if (parts.empty() || parts.size() > 3) {
-        throw std::invalid_argument(std::string(shape) + "; got '" + entry +
-                                    "'");
-      }
-      try {
-        spec.profile = memsim::profile_by_name(parts[0]);
-      } catch (const std::exception& e) {
-        throw std::invalid_argument("--tenants: tenant '" + spec.name +
-                                    "': " + e.what());
-      }
-      // Zero is fine: a zero rate/burstiness keeps the default meaning.
-      if (parts.size() > 1) {
-        spec.interarrival_ns =
-            parse_decimal("--tenants: interarrival_ns", parts[1], false);
-      }
-      if (parts.size() > 2) {
-        spec.burstiness =
-            parse_decimal("--tenants: burstiness", parts[2], false);
-      }
-    }
-    tenants.push_back(std::move(spec));
-  }
-  // Name order — the same deterministic stream ordering the [tenant]
-  // config sections get, so ids and seeds never depend on list order.
-  std::sort(tenants.begin(), tenants.end(),
-            [](const config::TenantSpec& a, const config::TenantSpec& b) {
-              return a.name < b.name;
-            });
-  try {
-    config::validate_tenants(tenants);
-  } catch (const std::exception& e) {
-    throw std::invalid_argument(std::string("--tenants: ") + e.what());
-  }
-  return tenants;
-}
-
-telemetry::TelemetrySpec telemetry_from_options(const Options& options) {
-  telemetry::TelemetrySpec spec;
-  spec.trace_path = options.trace_out;
-  if (options.trace_limit) {
-    if (options.trace_out.empty()) {
-      throw std::invalid_argument(
-          "--trace-limit requires --trace-out (there is no event budget to "
-          "cap without a trace)");
-    }
-    spec.trace_limit = *options.trace_limit;
-  }
-  if (options.metrics_interval_ns) {
-    spec.metrics_interval_ps = *options.metrics_interval_ns * 1000;
-  }
-  if (!options.metrics_csv.empty()) {
-    if (!options.metrics_interval_ns) {
-      throw std::invalid_argument(
-          "--metrics-csv requires --metrics-interval (there is no timeline "
-          "to write without an epoch length)");
-    }
-    spec.metrics_csv = options.metrics_csv;
-  }
-  spec.validate();
-  return spec;
-}
-
-prof::ProfSpec prof_from_options(const Options& options) {
-  prof::ProfSpec spec;
-  spec.profile = options.profile;
-  spec.progress_ms = options.progress_ms;
-  if (!options.assert_slo.empty()) {
-    try {
-      spec.slo = config::parse_slo(options.assert_slo);
-    } catch (const std::exception& e) {
-      throw std::invalid_argument(std::string("--assert-slo: ") + e.what());
+          "--dump-trace requires a single --workload (a trace file holds one "
+          "request stream, not a matrix)");
     }
   }
-  spec.validate();
-  return spec;
+  return std::move(opt);
 }
 
 std::string usage() {
+  constexpr std::size_t kIndent = 25;
+  constexpr std::size_t kWidth = 79;
   std::ostringstream os;
+  // Word-wraps `text` into the help column.
+  const auto paragraph = [&](const std::string& text) {
+    std::size_t column = kIndent;
+    std::istringstream words(text);
+    std::string word;
+    bool first = true;
+    while (words >> word) {
+      if (!first && column + 1 + word.size() > kWidth) {
+        os << "\n" << std::string(kIndent, ' ');
+        column = kIndent;
+        first = true;
+      }
+      os << (first ? "" : " ") << word;
+      column += (first ? 0 : 1) + word.size();
+      first = false;
+    }
+    os << "\n";
+  };
   os << "comet_sim — trace-driven sweep driver for the COMET memory study\n"
      << "\n"
      << "Usage: comet_sim [options]\n"
-     << "  --device <name|all>    architecture to simulate (default: all)\n"
-     << "                         one of: all";
-  for (const auto& name : known_devices()) os << ", " << name;
-  os << ",\n                         hybrid-all";
-  for (const auto& name : known_hybrid_devices()) os << ", " << name;
-  os << "\n"
-     << "  --workload <name|all>  SPEC-like profile (default: all)\n"
-     << "                         one of: all";
-  for (const auto& profile : memsim::spec_like_profiles()) {
-    os << ", " << profile.name;
+     << "A flag with a config key is an alias of that key of a --config\n"
+     << "document; the flags are read as such a document.\n";
+  for (const Flag& row : kFlags) {
+    std::string head = std::string("  ") + row.name;
+    if (*row.metavar) {
+      head += (row.value == FlagValue::kPeriod ? "" : " ");
+      head += row.metavar;
+    }
+    os << head << std::string(kIndent - std::min(head.size(), kIndent - 1),
+                              ' ');
+    std::string help = row.help;
+    if (row.name == std::string_view("--device")) {
+      help += "; one of: " + device_choices();
+    } else if (row.name == std::string_view("--workload")) {
+      help += "; one of: " + workload_choices();
+    }
+    paragraph(help);
+    if (row.key) {
+      const std::string_view key = row.key;
+      const std::size_t dot = key.find('.');
+      os << std::string(kIndent, ' ');
+      paragraph(row.value == FlagValue::kTenants
+                    ? "config: one [tenant.NAME] section per stream"
+                    : "config: [" + std::string(key.substr(0, dot)) + "] " +
+                          std::string(key.substr(dot + 1)));
+    }
   }
-  os << "\n"
-     << "  --config <path>        run the experiment described by a TOML\n"
-     << "                         spec (devices, workloads, sweep axes);\n"
-     << "                         conflicts with the matrix flags above\n"
-     << "  --device-file <path>   add a device defined in a [device] TOML\n"
-     << "                         file to the sweep (repeatable)\n"
-     << "  --dump-config <path>   write the fully resolved experiment spec\n"
-     << "                         (config analogue of --dump-trace) and exit\n"
-     << "  --channels N           override the device channel count\n"
-     << "  --requests N           requests per run (default: 20000)\n"
-     << "  --threads N            sweep worker threads (default: hardware)\n"
-     << "  --run-threads N        per-channel replay worker threads inside\n"
-     << "                         each scheduled or hybrid run (default:\n"
-     << "                         1 = inline; 0 = hardware threads);\n"
-     << "                         flat direct replay is always serial (too\n"
-     << "                         cheap per request for lanes to pay);\n"
-     << "                         results are bit-identical for any value\n"
-     << "  --seed N               trace RNG seed (default: 42)\n"
-     << "  --line-bytes N         request line size (default: 128)\n"
-     << "  --cache-mb N           hybrid devices: DRAM cache capacity [MiB]\n"
-     << "  --cache-ways N         hybrid devices: cache associativity\n"
-     << "  --cache-policy <p>     hybrid devices: write-allocate (default)\n"
-     << "                         or write-no-allocate\n"
-     << "  --schedule <policy>    engage the memory-controller scheduler:\n"
-     << "                         fcfs (in-order), frfcfs (open-row reuse),\n"
-     << "                         read-first (write-drain watermarks),\n"
-     << "                         token-budget or frfcfs-cap (fairness-aware\n"
-     << "                         FR-FCFS variants; see --list-policies)\n"
-     << "  --read-q N             scheduler read-queue depth per channel\n"
-     << "                         (default: 32; 0 = unbounded)\n"
-     << "  --write-q N            scheduler write-queue depth per channel\n"
-     << "                         (default: 32; 0 = unbounded)\n"
-     << "  --drain-high N         write-drain high watermark, read-first\n"
-     << "                         only (default: 7/8 of the write-queue\n"
-     << "                         depth)\n"
-     << "  --drain-low N          write-drain low watermark, read-first\n"
-     << "                         only (default: 3/8 of the write-queue\n"
-     << "                         depth)\n"
-     << "  --tenants <list>       multi-tenant run: comma-separated streams\n"
-     << "                         name=workload[:interarrival_ns[:burst]]\n"
-     << "                         or name=@trace-file, merged into one\n"
-     << "                         interleaved run with per-tenant latency,\n"
-     << "                         slowdown-vs-alone and Jain fairness stats\n"
-     << "  --tenant-mapping <m>   tenant address spaces: partition (default,\n"
-     << "                         disjoint 1 TiB slabs) or interleave\n"
-     << "                         (line-granular sharing, maximal contention)\n"
-     << "  --tenant-tokens N      token-budget policy: per-tenant scheduling\n"
-     << "                         tokens per refill (default: 64)\n"
-     << "  --starvation-cap N     frfcfs-cap policy: times a queued tenant\n"
-     << "                         may be passed over before it outranks row\n"
-     << "                         hits (default: 16)\n"
-     << "  --trace-file <path>    replay an on-disk NVMain trace (streamed,\n"
-     << "                         O(1) memory) instead of a synthetic\n"
-     << "                         workload; ignores --workload/--requests\n"
-     << "  --cpu-ghz X            CPU clock for trace cycle->time\n"
-     << "                         conversion (default: 2.0)\n"
-     << "  --dump-trace <path>    write the synthesized trace for a single\n"
-     << "                         --workload to <path> and exit\n"
-     << "  --trace-out <path>     write a Chrome trace-event JSON of every\n"
-     << "                         request's lifecycle (open in Perfetto:\n"
-     << "                         one track per channel and bank)\n"
-     << "  --trace-limit N        cap on recorded trace events per run\n"
-     << "                         (default: 1000000; 0 = unlimited); the\n"
-     << "                         trace records what was dropped\n"
-     << "  --metrics-interval N   sample an epoch metrics time-series every\n"
-     << "                         N ns (bandwidth, queue occupancy, drain\n"
-     << "                         activity, latency percentiles) into the\n"
-     << "                         --json report's timeline array\n"
-     << "  --metrics-csv <path>   also write the timeline as CSV\n"
-     << "  --profile              record a host-side run profile (stage wall\n"
-     << "                         times, lane utilization, queue stalls,\n"
-     << "                         peak RSS) into each record's JSON host\n"
-     << "                         object and a console table; never changes\n"
-     << "                         the simulated results\n"
-     << "  --progress[=ms]        live heartbeat on stderr while the sweep\n"
-     << "                         runs: completed/total requests, req/s,\n"
-     << "                         ETA, RSS (default period: 500 ms)\n"
-     << "  --assert-slo <list>    comma-separated run health gates over\n"
-     << "                         the --json record's numbers, e.g.\n"
-     << "                         \"p99_read_latency_ns<=2500,\n"
-     << "                         host.requests_per_s>=5e6\";\n"
-     << "                         any violated predicate exits 3\n"
-     << "  --json <path>          also write machine-readable JSON\n"
-     << "  --csv                  print CSV instead of aligned tables\n"
-     << "  --list-devices         print every device token and exit\n"
-     << "  --list-workloads       print every workload name and exit\n"
-     << "  --list-policies        print every scheduling policy (token,\n"
-     << "                         behaviour, knobs) and exit\n"
-     << "  --help                 this text\n";
   return os.str();
 }
 

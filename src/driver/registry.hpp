@@ -55,26 +55,23 @@ struct HybridOverrides {
 /// otherwise (hybrid tokens resolve through make_device_spec).
 memsim::DeviceModel make_device(const std::string& token);
 
-/// Builds the spec for any token, flat or hybrid, applying the
-/// overrides to hybrid ones. Throws std::invalid_argument on unknown
-/// tokens or invalid override combinations.
-DeviceSpec make_device_spec(const std::string& token,
-                            const HybridOverrides& overrides = {});
+/// Builds the spec for any token, flat or hybrid. Throws
+/// std::invalid_argument on unknown tokens.
+DeviceSpec make_device_spec(const std::string& token);
 
 /// Applies the `--cache-*` overrides to a hybrid spec, re-deriving the
 /// DRAM tier model from the adjusted cache capacity; flat specs pass
-/// through untouched. One path for registry tokens and --device-file
-/// specs alike, so the flags are never silently ignored for
-/// file-defined hybrids. Throws std::invalid_argument on an invalid
-/// resulting geometry or policy.
+/// through untouched. parse_args applies it to every resolved device,
+/// registry token and --device-file alike, so the flags are never
+/// silently ignored for file-defined hybrids. Throws
+/// std::invalid_argument on an invalid resulting geometry or policy.
 DeviceSpec apply_hybrid_overrides(DeviceSpec spec,
                                   const HybridOverrides& overrides);
 
 /// Expands a `--device` argument: `all` → every flat device,
 /// `hybrid-all` → every hybrid design point, otherwise the single named
 /// one. Throws std::invalid_argument on unknown tokens.
-std::vector<DeviceSpec> resolve_device_specs(
-    const std::string& spec, const HybridOverrides& overrides = {});
+std::vector<DeviceSpec> resolve_device_specs(const std::string& spec);
 
 /// The registry as a config-layer base resolver: maps any single
 /// flat/hybrid token to its spec (no CLI overrides). Hand this to

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "config/experiment.hpp"
-#include "driver/options.hpp"
 #include "driver/registry.hpp"
 #include "memsim/stats.hpp"
 #include "memsim/trace_gen.hpp"
@@ -20,9 +19,10 @@
 /// results are bit-identical for any thread count, and the Fig. 9 matrix
 /// parallelises with near-linear speedup.
 ///
-/// The matrix itself comes from a config::ExperimentSpec — either built
-/// from the CLI flags (experiment_from_options) or parsed from a
-/// `--config` document — so both entry points expand through one path.
+/// The matrix itself comes from a config::ExperimentSpec — read from
+/// the lowered command line (driver::parse_args) or from a `--config`
+/// document by the same config::parse_experiment — so both entry
+/// points expand through one path.
 namespace comet::driver {
 
 /// One cell of the sweep matrix. `device` is either a flat architecture
@@ -71,13 +71,6 @@ struct SweepJob {
   std::string config_file;  ///< The --config path; empty for flag runs.
 };
 
-/// Lifts the CLI flags into the declarative API: registry tokens are
-/// resolved (with the --cache-* overrides applied), --device-file specs
-/// are appended, and workload names become inline profiles — or, under
-/// --config, the file is parsed as-is. Throws std::invalid_argument /
-/// config::toml::ParseError on unknown names or malformed documents.
-config::ExperimentSpec experiment_from_options(const Options& options);
-
 /// Expands every registry token (`all`, `hybrid-all`, single names) and
 /// workload name in the spec into inline definitions, in tokens-first
 /// order. The result is registry-independent — what --dump-config
@@ -89,9 +82,6 @@ config::ExperimentSpec resolve_experiment(config::ExperimentSpec spec);
 /// tokens first). The channel override re-validates each adjusted
 /// model.
 std::vector<SweepJob> build_matrix(const config::ExperimentSpec& spec);
-
-/// CLI shorthand: build_matrix(experiment_from_options(options)).
-std::vector<SweepJob> build_matrix(const Options& options);
 
 /// Runs one job serially (the reference path the tests compare against):
 /// streams the job's source through the device's engine in O(1) memory.

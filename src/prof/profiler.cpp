@@ -6,11 +6,6 @@
 
 namespace comet::prof {
 
-void ProfSpec::validate() const {
-  // Nothing to check today beyond what the types enforce; kept so the
-  // config layer can call spec.validate() uniformly with [telemetry].
-}
-
 double PoolProfile::utilization() const {
   if (workers.empty() || wall_s <= 0.0) return 0.0;
   double busy = 0.0;

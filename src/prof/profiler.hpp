@@ -51,10 +51,6 @@ struct ProfSpec {
   bool heartbeat() const { return progress_ms > 0; }
   bool gating() const { return !slo.empty(); }
   bool enabled() const { return profiling() || heartbeat() || gating(); }
-
-  /// Throws std::invalid_argument on an inconsistent spec (currently:
-  /// a heartbeat interval that would truncate to never firing).
-  void validate() const;
   bool operator==(const ProfSpec&) const = default;
 };
 

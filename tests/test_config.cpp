@@ -2,7 +2,7 @@
 // of tables, line-numbered diagnostics), two-way device/workload
 // serialization (every registry device round-trips through
 // --dump-config-equivalent API with identical sweep results), and the
-// declarative ExperimentSpec/ExperimentBuilder matrix expansion.
+// declarative ExperimentSpec matrix expansion.
 
 #include <gtest/gtest.h>
 
@@ -17,13 +17,14 @@
 #include "config/fields.hpp"
 #include "config/serialize.hpp"
 #include "config/toml.hpp"
+#include "driver/options.hpp"
 #include "driver/registry.hpp"
 #include "driver/sweep.hpp"
 
 namespace {
 
 using comet::config::DeviceSpec;
-using comet::config::ExperimentBuilder;
+using comet::config::ExperimentSpec;
 using comet::config::parse_device;
 using comet::config::parse_workload;
 using comet::driver::make_device_spec;
@@ -315,41 +316,39 @@ TEST(WorkloadSerialization, RangeAndPatternDiagnostics) {
 
 // --- Experiment API ------------------------------------------------------
 
+/// A spec of registry device tokens and profile names; tests set the
+/// rest and call validate(), like any programmatic user of the API.
+ExperimentSpec token_spec(std::vector<std::string> devices,
+                          std::vector<std::string> workloads = {}) {
+  ExperimentSpec spec;
+  spec.device_tokens = std::move(devices);
+  spec.workload_names = std::move(workloads);
+  return spec;
+}
+
 TEST(ExperimentApi, BuilderValidates) {
-  EXPECT_THROW(ExperimentBuilder().build(), std::invalid_argument);
-  EXPECT_THROW(ExperimentBuilder().device("comet").build(),
-               std::invalid_argument);
-  EXPECT_THROW(ExperimentBuilder()
-                   .device("comet")
-                   .workload("gcc_like")
-                   .trace("x.trace")
-                   .build(),
-               std::invalid_argument);
-  EXPECT_THROW(ExperimentBuilder()
-                   .device("comet")
-                   .workload("gcc_like")
-                   .requests({})
-                   .build(),
-               std::invalid_argument);
-  const auto spec = ExperimentBuilder()
-                        .name("ok")
-                        .device("comet")
-                        .workload("gcc_like")
-                        .channels({4, 8})
-                        .build();
+  EXPECT_THROW(ExperimentSpec{}.validate(), std::invalid_argument);
+  EXPECT_THROW(token_spec({"comet"}).validate(), std::invalid_argument);
+  ExperimentSpec traced = token_spec({"comet"}, {"gcc_like"});
+  traced.trace_file = "x.trace";
+  EXPECT_THROW(traced.validate(), std::invalid_argument);
+  ExperimentSpec unsized = token_spec({"comet"}, {"gcc_like"});
+  unsized.requests = {};
+  EXPECT_THROW(unsized.validate(), std::invalid_argument);
+  ExperimentSpec spec = token_spec({"comet"}, {"gcc_like"});
+  spec.name = "ok";
+  spec.channels = {4, 8};
+  EXPECT_NO_THROW(spec.validate());
   EXPECT_EQ(spec.name, "ok");
   EXPECT_EQ(spec.channels.size(), 2u);
 }
 
 TEST(ExperimentApi, AxesMultiplyTheMatrix) {
-  const auto spec = ExperimentBuilder()
-                        .device("comet")
-                        .device("epcm")
-                        .workload("gcc_like")
-                        .channels({0, 4})
-                        .requests({500, 1000})
-                        .seeds({1, 2, 3})
-                        .build();
+  ExperimentSpec spec = token_spec({"comet", "epcm"}, {"gcc_like"});
+  spec.channels = {0, 4};
+  spec.requests = {500, 1000};
+  spec.seeds = {1, 2, 3};
+  spec.validate();
   const auto jobs = comet::driver::build_matrix(spec);
   EXPECT_EQ(jobs.size(), 2u * 2u * 1u * 2u * 3u);
   // Nesting order: devices × channels × workloads × requests × seeds.
@@ -415,7 +414,7 @@ TEST(ExperimentApi, ConfigMatrixMatchesCliFlagMatrix) {
   const auto cli_options = comet::driver::parse_args(
       {"--device", "hybrid-comet", "--workload", "milc_like", "--requests",
        "700", "--seed", "5", "--channels", "8"});
-  const auto cli_jobs = comet::driver::build_matrix(cli_options);
+  const auto cli_jobs = comet::driver::build_matrix(cli_options.spec);
 
   const std::string text =
       "[experiment]\n"
@@ -442,8 +441,7 @@ TEST(ExperimentApi, ResolvedExperimentRoundTripsThroughToml) {
   const auto options = comet::driver::parse_args(
       {"--device", "hybrid-comet-small", "--workload", "lbm_like",
        "--requests", "500"});
-  const auto resolved = comet::driver::resolve_experiment(
-      comet::driver::experiment_from_options(options));
+  const auto resolved = comet::driver::resolve_experiment(options.spec);
   EXPECT_TRUE(resolved.device_tokens.empty());
   EXPECT_TRUE(resolved.workload_names.empty());
 
@@ -520,9 +518,28 @@ TEST(ExperimentApi, ControllerSectionDiagnostics) {
                "unknown scheduling policy 'lifo'");
   expect_error(header + "[controller]\nqueue = 4\n", "unknown key 'queue'");
   expect_error(header +
-                   "[controller]\nwrite_queue_depth = 8\n"
-                   "drain_high_watermark = 50\n",
+                   "[controller]\npolicy = \"read-first\"\n"
+                   "write_queue_depth = 8\ndrain_high_watermark = 50\n",
                "drain_high_watermark 50 exceeds write_queue_depth 8");
+  // A knob no policy on the axis reads fails at its own line instead of
+  // being silently ignored.
+  expect_error(header +
+                   "requests = 2000\n"
+                   "[controller]\npolicy = \"frfcfs\"\n"
+                   "drain_high_watermark = 4\ndrain_low_watermark = 2\n"
+                   "tenant_tokens = 9\nstarvation_cap = 3\n",
+               "sched.toml:7: [controller]: 'drain_high_watermark' is read "
+               "by policy read-first only");
+  const std::string frfcfs = header + "[controller]\npolicy = \"frfcfs\"\n";
+  expect_error(frfcfs + "drain_low_watermark = 2\n",
+               "'drain_low_watermark' is read by policy read-first only");
+  expect_error(frfcfs + "tenant_tokens = 9\n",
+               "'tenant_tokens' is read by policy token-budget only");
+  expect_error(frfcfs + "starvation_cap = 3\n",
+               "'starvation_cap' is read by policy frfcfs-cap only");
+  // Without `policy` the axis is {fcfs}, which reads none of them.
+  expect_error(header + "[controller]\ntenant_tokens = 9\n",
+               "'tenant_tokens' is read by policy token-budget only");
 }
 
 TEST(ExperimentApi, RunThreadsAloneShardsWithoutEngagingScheduling) {
@@ -587,8 +604,7 @@ TEST(ExperimentApi, ScheduledExperimentRoundTripsThroughToml) {
   const auto options = comet::driver::parse_args(
       {"--device", "comet", "--workload", "gcc_like", "--requests", "400",
        "--schedule", "frfcfs", "--read-q", "16", "--write-q", "16"});
-  const auto resolved = comet::driver::resolve_experiment(
-      comet::driver::experiment_from_options(options));
+  const auto resolved = comet::driver::resolve_experiment(options.spec);
   ASSERT_EQ(resolved.policies.size(), 1u);
 
   const std::string text = comet::config::experiment_to_toml(resolved);
@@ -620,26 +636,20 @@ TEST(ExperimentApi, ScheduledExperimentRoundTripsThroughToml) {
 }
 
 TEST(ExperimentApi, TraceExperimentValidates) {
-  auto spec = ExperimentBuilder()
-                  .device("comet")
-                  .trace("some.trace", 3.0)
-                  .build();
+  ExperimentSpec spec = token_spec({"comet"});
+  spec.trace_file = "some.trace";
+  spec.cpu_ghz = 3.0;
+  EXPECT_NO_THROW(spec.validate());
   EXPECT_EQ(spec.trace_file, "some.trace");
   EXPECT_DOUBLE_EQ(spec.cpu_ghz, 3.0);
   // requests/seed are ignored during replay, so an axis alongside a
   // trace file is rejected instead of running N identical replays.
-  EXPECT_THROW(ExperimentBuilder()
-                   .device("comet")
-                   .trace("some.trace")
-                   .seeds({1, 2})
-                   .build(),
-               std::invalid_argument);
-  EXPECT_THROW(ExperimentBuilder()
-                   .device("comet")
-                   .trace("some.trace")
-                   .requests({100, 200})
-                   .build(),
-               std::invalid_argument);
+  ExperimentSpec seeded = spec;
+  seeded.seeds = {1, 2};
+  EXPECT_THROW(seeded.validate(), std::invalid_argument);
+  ExperimentSpec sized = spec;
+  sized.requests = {100, 200};
+  EXPECT_THROW(sized.validate(), std::invalid_argument);
   // parse path: trace_file + workloads is rejected with a line anchor.
   const std::string text =
       "[experiment]\n"
@@ -722,8 +732,7 @@ TEST(ExperimentApi, TelemetryExperimentRoundTripsThroughToml) {
       {"--device", "comet", "--workload", "gcc_like", "--requests", "400",
        "--trace-out", "run.json", "--trace-limit", "9000",
        "--metrics-interval", "500000", "--metrics-csv", "run.csv"});
-  const auto resolved = comet::driver::resolve_experiment(
-      comet::driver::experiment_from_options(options));
+  const auto resolved = comet::driver::resolve_experiment(options.spec);
 
   const std::string text = comet::config::experiment_to_toml(resolved);
   EXPECT_NE(text.find("[telemetry]"), std::string::npos);
@@ -739,8 +748,9 @@ TEST(ExperimentApi, TelemetryExperimentRoundTripsThroughToml) {
 
   // A telemetry-free spec writes no [telemetry] section at all.
   const auto plain = comet::driver::resolve_experiment(
-      comet::driver::experiment_from_options(comet::driver::parse_args(
-          {"--device", "comet", "--workload", "gcc_like"})));
+      comet::driver::parse_args({"--device", "comet", "--workload",
+                                 "gcc_like"})
+          .spec);
   EXPECT_EQ(comet::config::experiment_to_toml(plain).find("[telemetry]"),
             std::string::npos);
 }
@@ -820,22 +830,17 @@ TEST(ExperimentApi, TenantStreamsConflictWithOtherDemandAxes) {
   comet::config::TenantSpec tenant;
   tenant.name = "web";
   tenant.profile = comet::memsim::profile_by_name("gcc_like");
+  ExperimentSpec spec = token_spec({"comet"});
+  spec.tenants = {tenant};
   // Tenants own the demand: a workload axis on top is ambiguous.
-  EXPECT_THROW(ExperimentBuilder()
-                   .device("comet")
-                   .workload(comet::memsim::profile_by_name("gcc_like"))
-                   .tenant(tenant)
-                   .build(),
-               std::invalid_argument);
+  ExperimentSpec with_workload = spec;
+  with_workload.workloads = {comet::memsim::profile_by_name("gcc_like")};
+  EXPECT_THROW(with_workload.validate(), std::invalid_argument);
   // So is a run-level trace file (trace tenants carry their own path).
-  EXPECT_THROW(ExperimentBuilder()
-                   .device("comet")
-                   .trace("demand.nvt", 2.0)
-                   .tenant(tenant)
-                   .build(),
-               std::invalid_argument);
-  EXPECT_NO_THROW(
-      ExperimentBuilder().device("comet").tenant(tenant).build());
+  ExperimentSpec with_trace = spec;
+  with_trace.trace_file = "demand.nvt";
+  EXPECT_THROW(with_trace.validate(), std::invalid_argument);
+  EXPECT_NO_THROW(spec.validate());
 }
 
 TEST(ExperimentApi, TenantExperimentRoundTripsThroughToml) {
@@ -845,8 +850,7 @@ TEST(ExperimentApi, TenantExperimentRoundTripsThroughToml) {
       {"--device", "comet", "--tenants", "web=gcc_like,batch=mcf_like:40:0.5",
        "--tenant-mapping", "interleave", "--schedule", "token-budget",
        "--tenant-tokens", "32", "--requests", "400"});
-  const auto resolved = comet::driver::resolve_experiment(
-      comet::driver::experiment_from_options(options));
+  const auto resolved = comet::driver::resolve_experiment(options.spec);
 
   const std::string text = comet::config::experiment_to_toml(resolved);
   EXPECT_NE(text.find("[tenant]"), std::string::npos);
@@ -872,15 +876,15 @@ TEST(ExperimentApi, TenantExperimentRoundTripsThroughToml) {
 
   // A tenant-free spec writes no [tenant] section at all.
   const auto plain = comet::driver::resolve_experiment(
-      comet::driver::experiment_from_options(comet::driver::parse_args(
-          {"--device", "comet", "--workload", "gcc_like"})));
+      comet::driver::parse_args({"--device", "comet", "--workload",
+                                 "gcc_like"})
+          .spec);
   EXPECT_EQ(comet::config::experiment_to_toml(plain).find("[tenant]"),
             std::string::npos);
 }
 
 // --- Field tables --------------------------------------------------------
 
-using comet::config::ExperimentSpec;
 namespace cf = comet::config;
 
 /// Moves one table field of `s` to its `nth` distinctive in-range value
@@ -956,7 +960,10 @@ std::vector<ExperimentSpec> field_bases() {
   synthetic.devices = {make_device_spec("comet"),
                        make_device_spec("hybrid-comet")};
   synthetic.workloads = {comet::memsim::profile_by_name("gcc_like")};
-  synthetic.policies = {comet::sched::Policy::kFrFcfs};
+  // Every policy, so every [controller] knob is read and written.
+  synthetic.policies = {
+      comet::sched::Policy::kFrFcfs, comet::sched::Policy::kReadFirst,
+      comet::sched::Policy::kTokenBudget, comet::sched::Policy::kFrFcfsCap};
   synthetic.controller.policy = comet::sched::Policy::kFrFcfs;
   synthetic.telemetry.trace_path = "t.json";
   synthetic.telemetry.trace_limit = 5;

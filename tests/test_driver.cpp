@@ -9,12 +9,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "config/fields.hpp"
+#include "config/toml.hpp"
 #include "driver/options.hpp"
 #include "driver/registry.hpp"
 #include "driver/report.hpp"
@@ -33,9 +37,9 @@ using comet::driver::run_sweep;
 
 TEST(OptionsTest, DefaultsAreAllDevicesAllWorkloads) {
   const Options opt = parse_args({});
-  EXPECT_EQ(opt.device, "all");
-  EXPECT_EQ(opt.workload, "all");
-  EXPECT_EQ(opt.channels, 0);
+  EXPECT_EQ(opt.spec.devices, resolve_device_specs("all"));
+  EXPECT_EQ(opt.spec.workloads, comet::memsim::spec_like_profiles());
+  EXPECT_EQ(opt.spec.channels, std::vector<int>{0});
   EXPECT_FALSE(opt.help);
 }
 
@@ -45,14 +49,16 @@ TEST(OptionsTest, ParsesEveryFlag) {
                   "--channels", "4", "--requests", "1000", "--threads", "3",
                   "--run-threads", "2", "--seed", "7", "--line-bytes", "64",
                   "--json", "out.json", "--csv"});
-  EXPECT_EQ(opt.device, "comet");
-  EXPECT_EQ(opt.workload, "lbm_like");
-  EXPECT_EQ(opt.channels, 4);
-  EXPECT_EQ(opt.requests, 1000u);
+  ASSERT_EQ(opt.spec.devices.size(), 1u);
+  EXPECT_EQ(opt.spec.devices[0], comet::driver::make_device_spec("comet"));
+  ASSERT_EQ(opt.spec.workloads.size(), 1u);
+  EXPECT_EQ(opt.spec.workloads[0].name, "lbm_like");
+  EXPECT_EQ(opt.spec.channels, std::vector<int>{4});
+  EXPECT_EQ(opt.spec.requests, std::vector<std::uint64_t>{1000});
   EXPECT_EQ(opt.threads, 3);
-  EXPECT_EQ(opt.run_threads, 2);
-  EXPECT_EQ(opt.seed, 7u);
-  EXPECT_EQ(opt.line_bytes, 64u);
+  EXPECT_EQ(opt.spec.run_threads, std::vector<int>{2});
+  EXPECT_EQ(opt.spec.seeds, std::vector<std::uint64_t>{7});
+  EXPECT_EQ(opt.spec.line_bytes, 64u);
   EXPECT_EQ(opt.json_path, "out.json");
   EXPECT_TRUE(opt.csv);
 }
@@ -132,14 +138,14 @@ TEST(OptionsTest, TraceFileMustExistAtParseTime) {
   EXPECT_THROW(parse_args({"--trace-file", "/tmp"}), std::invalid_argument);
   const TempTraceFile file;
   const Options opt = parse_args({"--trace-file", file.path()});
-  EXPECT_EQ(opt.trace_file, file.path());
+  EXPECT_EQ(opt.spec.trace_file, file.path());
 }
 
 TEST(OptionsTest, CpuGhzParsesAndRejectsBadValues) {
   const TempTraceFile file;
   const Options opt =
       parse_args({"--trace-file", file.path(), "--cpu-ghz", "3.5"});
-  EXPECT_DOUBLE_EQ(opt.cpu_ghz, 3.5);
+  EXPECT_DOUBLE_EQ(opt.spec.cpu_ghz, 3.5);
   EXPECT_THROW(parse_args({"--cpu-ghz", "0"}), std::invalid_argument);
   EXPECT_THROW(parse_args({"--cpu-ghz", "-2"}), std::invalid_argument);
   EXPECT_THROW(parse_args({"--cpu-ghz", "2.0.0"}), std::invalid_argument);
@@ -189,7 +195,7 @@ TEST(OptionsTest, ConfigOwnsTheMatrix) {
   const TempTomlFile file(
       "[experiment]\ndevices = [\"comet\"]\nworkloads = [\"gcc_like\"]\n");
   const Options opt = parse_args({"--config", file.path()});
-  EXPECT_EQ(opt.config, file.path());
+  EXPECT_EQ(opt.spec.source, file.path());
   // Non-matrix flags still compose with --config...
   EXPECT_NO_THROW(parse_args(
       {"--config", file.path(), "--threads", "2", "--json", "o.json"}));
@@ -256,14 +262,16 @@ TEST(OptionsTest, DeviceFilesAddDevicesToTheMatrix) {
       "[device.timing]\nchannels = 2\n");
   // Without an explicit --device, the file replaces the default `all`.
   const auto solo = build_matrix(
-      parse_args({"--device-file", custom.path(), "--workload", "gcc_like"}));
+      parse_args({"--device-file", custom.path(), "--workload", "gcc_like"})
+          .spec);
   ASSERT_EQ(solo.size(), 1u);
   EXPECT_EQ(solo[0].device.name, "comet-2ch");
   EXPECT_EQ(solo[0].device.channels(), 2);
   // With one, tokens come first and the file's devices follow.
   const auto both = build_matrix(
       parse_args({"--device", "epcm", "--device-file", custom.path(),
-                  "--workload", "gcc_like"}));
+                  "--workload", "gcc_like"})
+          .spec);
   ASSERT_EQ(both.size(), 2u);
   EXPECT_EQ(both[1].device.name, "comet-2ch");
   // A bad file fails at parse time.
@@ -278,9 +286,11 @@ TEST(OptionsTest, CacheOverridesReachDeviceFileHybrids) {
   const TempTomlFile hybrid_file(
       "[device]\nname = \"hc\"\nbase = \"comet\"\n"
       "[device.cache]\ncapacity_mb = 32\n");
-  const auto jobs = build_matrix(parse_args(
-      {"--device-file", hybrid_file.path(), "--workload", "gcc_like",
-       "--cache-mb", "64", "--cache-policy", "write-no-allocate"}));
+  const auto jobs = build_matrix(
+      parse_args({"--device-file", hybrid_file.path(), "--workload",
+                  "gcc_like", "--cache-mb", "64", "--cache-policy",
+                  "write-no-allocate"})
+          .spec);
   ASSERT_EQ(jobs.size(), 1u);
   ASSERT_TRUE(jobs[0].device.is_hybrid());
   EXPECT_EQ(jobs[0].device.tiered->cache.capacity_bytes, 64ull << 20);
@@ -298,9 +308,10 @@ TEST(OptionsTest, DumpConfigConflictsWithDumpTrace) {
 }
 
 TEST(SweepTest, CliOptionsLiftIntoExperimentSpec) {
-  const auto spec = comet::driver::experiment_from_options(
+  const auto spec =
       parse_args({"--device", "comet", "--workload", "lbm_like",
-                  "--requests", "123", "--seed", "9", "--channels", "4"}));
+                  "--requests", "123", "--seed", "9", "--channels", "4"})
+          .spec;
   EXPECT_EQ(spec.name, "cli");
   EXPECT_TRUE(spec.device_tokens.empty());  // Resolved inline.
   ASSERT_EQ(spec.devices.size(), 1u);
@@ -336,7 +347,7 @@ TEST(RegistryTest, MakeEngineCoversEveryToken) {
 TEST(SweepTest, TraceFileModeBuildsOneJobPerDevice) {
   const TempTraceFile file;
   const Options opt = parse_args({"--trace-file", file.path()});
-  const auto jobs = build_matrix(opt);
+  const auto jobs = build_matrix(opt.spec);
   EXPECT_EQ(jobs.size(), 7u);  // devices x one trace pseudo-workload
   for (const auto& job : jobs) {
     EXPECT_EQ(job.trace_path, file.path());
@@ -348,12 +359,14 @@ TEST(SweepTest, TraceFileModeBuildsOneJobPerDevice) {
 TEST(SweepTest, TraceFileReplayThreadedMatchesSerial) {
   const TempTraceFile file;
   Options opt = parse_args({"--trace-file", file.path(), "--device", "all"});
-  auto jobs = build_matrix(opt);
+  auto jobs = build_matrix(opt.spec);
   // Mix a hybrid design point into the matrix.
   {
     Options hybrid_opt =
         parse_args({"--trace-file", file.path(), "--device", "hybrid-comet"});
-    for (auto& job : build_matrix(hybrid_opt)) jobs.push_back(std::move(job));
+    for (auto& job : build_matrix(hybrid_opt.spec)) {
+      jobs.push_back(std::move(job));
+    }
   }
   const auto serial = run_sweep(jobs, 1);
   const auto threaded = run_sweep(jobs, 4);
@@ -372,7 +385,7 @@ TEST(SweepTest, TraceFileReplayThreadedMatchesSerial) {
 TEST(ReportTest, JsonRecordsTraceFile) {
   const TempTraceFile file;
   Options opt = parse_args({"--trace-file", file.path(), "--device", "comet"});
-  const auto jobs = build_matrix(opt);
+  const auto jobs = build_matrix(opt.spec);
   const auto results = run_sweep(jobs, 1);
   std::ostringstream os;
   comet::driver::write_json(os, jobs, results);
@@ -386,7 +399,7 @@ TEST(ReportTest, JsonEscapesControlCharactersInStrings) {
   // valid JSON document: escaped as \u00XX, never written raw.
   Options opt = parse_args({"--device", "comet", "--workload", "gcc_like",
                             "--requests", "50"});
-  auto jobs = build_matrix(opt);
+  auto jobs = build_matrix(opt.spec);
   const auto results = run_sweep(jobs, 1);
   jobs[0].trace_path = "t\tab\x01.trace";
   jobs[0].experiment = "quote\"back\\slash\nline";
@@ -437,14 +450,14 @@ TEST(RegistryTest, UnknownTokenThrows) {
 }
 
 TEST(SweepTest, MatrixIsDevicesTimesWorkloads) {
-  Options opt;
-  const auto jobs = build_matrix(opt);
+  const Options opt = parse_args({});
+  const auto jobs = build_matrix(opt.spec);
   EXPECT_EQ(jobs.size(), 7u * 8u);
 }
 
 TEST(SweepTest, ChannelOverrideAppliesToEveryDevice) {
   Options opt = parse_args({"--device", "comet", "--channels", "2"});
-  const auto jobs = build_matrix(opt);
+  const auto jobs = build_matrix(opt.spec);
   ASSERT_FALSE(jobs.empty());
   for (const auto& job : jobs) EXPECT_EQ(job.device.channels(), 2);
 }
@@ -453,7 +466,7 @@ TEST(SweepTest, ChannelOverrideAppliesToEveryDevice) {
 // serial path for a fixed seed. Compare every stats field exactly.
 TEST(SweepTest, ThreadedMatchesSerialBitExactly) {
   Options opt = parse_args({"--requests", "2000"});
-  const auto jobs = build_matrix(opt);
+  const auto jobs = build_matrix(opt.spec);
   const auto serial = run_sweep(jobs, 1);
   const auto threaded = run_sweep(jobs, 4);
   ASSERT_EQ(serial.size(), threaded.size());
@@ -479,7 +492,7 @@ TEST(SweepTest, ThreadedMatchesSerialBitExactly) {
 TEST(SweepTest, RepeatedRunsAreDeterministic) {
   Options opt = parse_args({"--device", "comet", "--workload", "all",
                             "--requests", "1500"});
-  const auto jobs = build_matrix(opt);
+  const auto jobs = build_matrix(opt.spec);
   const auto first = run_sweep(jobs, 2);
   const auto second = run_sweep(jobs, 3);
   ASSERT_EQ(first.size(), second.size());
@@ -491,7 +504,7 @@ TEST(SweepTest, RepeatedRunsAreDeterministic) {
 
 TEST(ReportTest, JsonContainsOneRecordPerRunWithRequiredFields) {
   Options opt = parse_args({"--device", "comet", "--requests", "500"});
-  const auto jobs = build_matrix(opt);
+  const auto jobs = build_matrix(opt.spec);
   const auto results = run_sweep(jobs, 1);
   std::ostringstream os;
   comet::driver::write_json(os, jobs, results);
@@ -512,7 +525,7 @@ TEST(ReportTest, JsonContainsOneRecordPerRunWithRequiredFields) {
 
 TEST(ReportTest, TableReportCoversEveryDevice) {
   Options opt = parse_args({"--workload", "lbm_like", "--requests", "500"});
-  const auto jobs = build_matrix(opt);
+  const auto jobs = build_matrix(opt.spec);
   const auto results = run_sweep(jobs, 1);
   std::ostringstream os;
   comet::driver::print_report(os, jobs, results, /*csv=*/false);
@@ -528,21 +541,16 @@ TEST(OptionsTest, TelemetryFlagsParseAndConvert) {
   const Options opt = parse_args(
       {"--trace-out", "t.json", "--trace-limit", "500", "--metrics-interval",
        "1000000", "--metrics-csv", "t.csv"});
-  EXPECT_EQ(opt.trace_out, "t.json");
-  ASSERT_TRUE(opt.trace_limit.has_value());
-  EXPECT_EQ(*opt.trace_limit, 500u);
-  ASSERT_TRUE(opt.metrics_interval_ns.has_value());
-  EXPECT_EQ(*opt.metrics_interval_ns, 1'000'000u);
-  EXPECT_EQ(opt.metrics_csv, "t.csv");
-
-  const auto spec = comet::driver::telemetry_from_options(opt);
+  const auto& spec = opt.spec.telemetry;
+  EXPECT_TRUE(spec.tracing());
   EXPECT_EQ(spec.trace_path, "t.json");
   EXPECT_EQ(spec.trace_limit, 500u);
+  EXPECT_TRUE(spec.sampling());
   EXPECT_EQ(spec.metrics_interval_ps, 1'000'000'000u);  // ns -> ps.
   EXPECT_EQ(spec.metrics_csv, "t.csv");
 
   // Untraced default: a disabled spec, so jobs carry no collector.
-  const auto off = comet::driver::telemetry_from_options(parse_args({}));
+  const auto off = parse_args({}).spec.telemetry;
   EXPECT_FALSE(off.enabled());
 }
 
@@ -591,7 +599,7 @@ TEST(SweepTest, TelemetrySpecRidesIntoEveryJob) {
   const Options opt = parse_args(
       {"--device", "comet", "--workload", "all", "--requests", "200",
        "--trace-out", "t.json", "--metrics-interval", "1000000"});
-  const auto jobs = build_matrix(opt);
+  const auto jobs = build_matrix(opt.spec);
   ASSERT_FALSE(jobs.empty());
   for (const auto& job : jobs) {
     EXPECT_EQ(job.telemetry.trace_path, "t.json");
@@ -604,7 +612,7 @@ TEST(SweepTest, RunSweepBuildsOneCollectorPerEnabledJob) {
   Options opt = parse_args({"--device", "comet", "--workload", "gcc_like",
                             "--requests", "300", "--metrics-interval",
                             "1000000"});
-  const auto jobs = build_matrix(opt);
+  const auto jobs = build_matrix(opt.spec);
   std::vector<std::unique_ptr<comet::telemetry::Collector>> collectors;
   const auto results = run_sweep(jobs, 1, &collectors);
   ASSERT_EQ(collectors.size(), jobs.size());
@@ -620,7 +628,7 @@ TEST(SweepTest, RunSweepBuildsOneCollectorPerEnabledJob) {
   // Disabled telemetry: the slots stay null and nothing is recorded.
   Options plain = parse_args({"--device", "comet", "--workload", "gcc_like",
                               "--requests", "300"});
-  const auto plain_jobs = build_matrix(plain);
+  const auto plain_jobs = build_matrix(plain.spec);
   run_sweep(plain_jobs, 1, &collectors);
   ASSERT_EQ(collectors.size(), plain_jobs.size());
   for (const auto& collector : collectors) EXPECT_EQ(collector, nullptr);
@@ -630,7 +638,7 @@ TEST(ReportTest, JsonCarriesTelemetryProvenanceAndTimeline) {
   Options opt = parse_args({"--device", "comet", "--workload", "gcc_like",
                             "--requests", "300", "--trace-out", "t.json",
                             "--metrics-interval", "1000000"});
-  const auto jobs = build_matrix(opt);
+  const auto jobs = build_matrix(opt.spec);
   std::vector<std::unique_ptr<comet::telemetry::Collector>> collectors;
   const auto results = run_sweep(jobs, 1, &collectors);
   std::ostringstream os;
@@ -647,7 +655,7 @@ TEST(ReportTest, JsonCarriesTelemetryProvenanceAndTimeline) {
   // of the telemetry keys diffs traced vs untraced reports cleanly.
   Options off = parse_args({"--device", "comet", "--workload", "gcc_like",
                             "--requests", "300"});
-  const auto plain_jobs = build_matrix(off);
+  const auto plain_jobs = build_matrix(off.spec);
   std::ostringstream plain;
   comet::driver::write_json(plain, plain_jobs, results);
   for (const char* field :
@@ -663,7 +671,7 @@ TEST(OptionsTest, TenantListParsesAndSortsByName) {
       {"--device", "comet", "--tenants",
        "web=gcc_like,batch=mcf_like:40:0.5", "--tenant-mapping",
        "interleave"});
-  const auto tenants = comet::driver::tenants_from_options(opt);
+  const auto& tenants = opt.spec.tenants;
   ASSERT_EQ(tenants.size(), 2u);
   // Name order, not flag order: tenant ids and seeds must not depend
   // on how the user happened to type the list.
@@ -674,7 +682,8 @@ TEST(OptionsTest, TenantListParsesAndSortsByName) {
   EXPECT_EQ(tenants[1].name, "web");
   EXPECT_EQ(tenants[1].profile.name, "gcc_like");
   EXPECT_DOUBLE_EQ(tenants[1].interarrival_ns, 0.0);
-  EXPECT_EQ(opt.tenant_mapping, "interleave");
+  EXPECT_EQ(opt.spec.tenant_mapping,
+            comet::config::TenantMapping::kInterleave);
 }
 
 TEST(OptionsTest, TenantListDiagnostics) {
@@ -708,8 +717,8 @@ TEST(OptionsTest, DecimalValuesNeedADigit) {
                std::invalid_argument);
   EXPECT_THROW(parse_args({"--tenants", "a=gcc_like:40:."}),
                std::invalid_argument);
-  const auto tenants = comet::driver::tenants_from_options(
-      parse_args({"--tenants", "a=gcc_like:.5:0."}));
+  const auto tenants =
+      parse_args({"--tenants", "a=gcc_like:.5:0."}).spec.tenants;
   ASSERT_EQ(tenants.size(), 1u);
   EXPECT_DOUBLE_EQ(tenants[0].interarrival_ns, 0.5);
   EXPECT_DOUBLE_EQ(tenants[0].burstiness, 0.0);
@@ -720,9 +729,11 @@ TEST(SweepTest, CpuGhzClocksTraceTenants) {
   // as it does for a run-level --trace-file.
   const TempTraceFile file;
   const auto span_at = [&](const std::string& ghz) {
-    const auto jobs = build_matrix(parse_args(
-        {"--device", "comet", "--tenants", "a=@" + file.path() + ",b=lbm_like",
-         "--requests", "400", "--cpu-ghz", ghz}));
+    const auto jobs = build_matrix(
+        parse_args({"--device", "comet", "--tenants",
+                    "a=@" + file.path() + ",b=lbm_like", "--requests", "400",
+                    "--cpu-ghz", ghz})
+            .spec);
     EXPECT_EQ(jobs.at(0).cpu_ghz, std::stod(ghz));
     return comet::driver::run_job(jobs.at(0)).span_ps;
   };
@@ -748,34 +759,32 @@ TEST(OptionsTest, TenantFlagDependenciesRejectedAtParseTime) {
 }
 
 TEST(OptionsTest, FairnessKnobsDemandTheirPolicy) {
-  using comet::driver::scheduler_from_options;
   // The knobs only mean something under their policy; anywhere else
   // they would silently gate nothing.
+  EXPECT_THROW(parse_args({"--tenant-tokens", "32"}), std::invalid_argument);
+  EXPECT_THROW(parse_args({"--schedule", "frfcfs", "--tenant-tokens", "32"}),
+               std::invalid_argument);
   EXPECT_THROW(
-      scheduler_from_options(parse_args({"--tenant-tokens", "32"})),
+      parse_args({"--schedule", "token-budget", "--starvation-cap", "8"}),
       std::invalid_argument);
-  EXPECT_THROW(scheduler_from_options(parse_args(
-                   {"--schedule", "frfcfs", "--tenant-tokens", "32"})),
-               std::invalid_argument);
-  EXPECT_THROW(scheduler_from_options(parse_args(
-                   {"--schedule", "token-budget", "--starvation-cap", "8"})),
-               std::invalid_argument);
   EXPECT_THROW(parse_args({"--tenant-tokens", "0"}), std::invalid_argument);
 
-  const auto budget = scheduler_from_options(parse_args(
-      {"--schedule", "token-budget", "--tenant-tokens", "32"}));
-  ASSERT_TRUE(budget.has_value());
-  EXPECT_EQ(budget->tenant_tokens, 32);
-  const auto capped = scheduler_from_options(parse_args(
-      {"--schedule", "frfcfs-cap", "--starvation-cap", "8"}));
-  ASSERT_TRUE(capped.has_value());
-  EXPECT_EQ(capped->starvation_cap, 8);
+  const auto budget =
+      parse_args({"--schedule", "token-budget", "--tenant-tokens", "32"}).spec;
+  ASSERT_FALSE(budget.policies.empty());
+  EXPECT_EQ(budget.controller.tenant_tokens, 32);
+  const auto capped =
+      parse_args({"--schedule", "frfcfs-cap", "--starvation-cap", "8"}).spec;
+  ASSERT_FALSE(capped.policies.empty());
+  EXPECT_EQ(capped.controller.starvation_cap, 8);
 }
 
 TEST(SweepTest, TenantSpecsRideIntoEveryJob) {
-  const auto jobs = build_matrix(parse_args(
-      {"--device", "comet", "--tenants", "web=gcc_like,batch=mcf_like",
-       "--schedule", "frfcfs-cap", "--requests", "500"}));
+  const auto jobs = build_matrix(
+      parse_args({"--device", "comet", "--tenants",
+                  "web=gcc_like,batch=mcf_like", "--schedule", "frfcfs-cap",
+                  "--requests", "500"})
+          .spec);
   ASSERT_EQ(jobs.size(), 1u);
   ASSERT_EQ(jobs[0].tenants.size(), 2u);
   EXPECT_EQ(jobs[0].tenants[0].name, "batch");
@@ -785,6 +794,165 @@ TEST(SweepTest, TenantSpecsRideIntoEveryJob) {
   ASSERT_TRUE(jobs[0].controller.has_value());
   EXPECT_EQ(jobs[0].controller->policy,
             comet::sched::Policy::kFrFcfsCap);
+}
+
+// ----------------------------------------------------------- flag table
+
+/// The keys a section's reader accepts: its field table plus the keys
+/// the section reader handles itself.
+template <typename S>
+std::set<std::string> section_keys(std::set<std::string> own = {}) {
+  for (const auto& field : comet::config::Schema<S>::fields) {
+    own.insert(field.key);
+  }
+  return own;
+}
+
+TEST(FlagTable, EveryKeyIsAKeyOfItsSection) {
+  namespace cf = comet::config;
+  const std::map<std::string, std::set<std::string>> sections = {
+      {"experiment", section_keys<cf::ExperimentSpec>()},
+      {"controller",
+       section_keys<comet::sched::ControllerConfig>({"policy", "run_threads"})},
+      {"telemetry", section_keys<comet::telemetry::TelemetrySpec>()},
+      {"profile", section_keys<comet::prof::ProfSpec>()},
+      {"slo", {"assert"}},
+      {"tenant", {"mapping"}},
+  };
+  for (const auto& row : comet::driver::flag_table()) {
+    if (!row.key) {
+      EXPECT_NE(row.set, nullptr) << row.name;
+      continue;
+    }
+    const std::string key = row.key;
+    const std::size_t dot = key.find('.');
+    ASSERT_NE(dot, std::string::npos) << row.name;
+    const auto section = sections.find(key.substr(0, dot));
+    ASSERT_NE(section, sections.end()) << row.name << " -> " << key;
+    if (row.value == comet::driver::FlagValue::kTenants) {
+      // One [tenant.NAME] sub-section per entry; its keys are checked
+      // by the one-key-document comparison below.
+      EXPECT_EQ(key, "tenant.NAME");
+      continue;
+    }
+    EXPECT_TRUE(section->second.count(key.substr(dot + 1)))
+        << row.name << " -> " << key;
+  }
+}
+
+TEST(FlagTable, EachKeyedFlagMatchesItsDocument) {
+  const TempTraceFile trace;
+  struct Case {
+    std::vector<std::string> args;
+    std::string document;  ///< Follows `[experiment] name = "cli"`.
+  };
+  const std::string comet_gcc =
+      "devices = \"comet\"\nworkloads = \"gcc_like\"\n";
+  const std::vector<std::string> base = {"--device", "comet", "--workload",
+                                         "gcc_like"};
+  const auto with = [&](std::vector<std::string> args) {
+    args.insert(args.begin(), base.begin(), base.end());
+    return args;
+  };
+  const std::vector<Case> cases = {
+      {{"--device", "epcm", "--workload", "mcf_like"},
+       "devices = \"epcm\"\nworkloads = \"mcf_like\"\n"},
+      {with({"--channels", "4"}), comet_gcc + "channels = 4\n"},
+      {with({"--requests", "500"}), comet_gcc + "requests = 500\n"},
+      {with({"--seed", "7"}), comet_gcc + "seed = 7\n"},
+      {with({"--line-bytes", "64"}), comet_gcc + "line_bytes = 64\n"},
+      {with({"--cpu-ghz", "3.5"}), comet_gcc + "cpu_ghz = 3.5\n"},
+      {{"--device", "comet", "--trace-file", trace.path()},
+       "devices = \"comet\"\ntrace_file = \"" + trace.path() + "\"\n"},
+      {with({"--run-threads", "2"}),
+       comet_gcc + "[controller]\nrun_threads = 2\n"},
+      {with({"--schedule", "frfcfs", "--read-q", "16", "--write-q", "8"}),
+       comet_gcc +
+           "[controller]\npolicy = \"frfcfs\"\nread_queue_depth = 16\n"
+           "write_queue_depth = 8\n"},
+      {with({"--schedule", "read-first", "--drain-high", "20",
+             "--drain-low", "4"}),
+       comet_gcc +
+           "[controller]\npolicy = \"read-first\"\n"
+           "drain_high_watermark = 20\ndrain_low_watermark = 4\n"},
+      {with({"--schedule", "token-budget", "--tenant-tokens", "32"}),
+       comet_gcc +
+           "[controller]\npolicy = \"token-budget\"\ntenant_tokens = 32\n"},
+      {with({"--schedule", "frfcfs-cap", "--starvation-cap", "8"}),
+       comet_gcc +
+           "[controller]\npolicy = \"frfcfs-cap\"\nstarvation_cap = 8\n"},
+      {{"--device", "comet", "--tenants",
+        "b=lbm_like:6:0.5,a=gcc_like:12,c=@" + trace.path(),
+        "--tenant-mapping", "interleave"},
+       "devices = \"comet\"\n[tenant]\nmapping = \"interleave\"\n"
+       "[tenant.a]\nworkload = \"gcc_like\"\ninterarrival_ns = 12.0\n"
+       "[tenant.b]\nworkload = \"lbm_like\"\ninterarrival_ns = 6.0\n"
+       "burstiness = 0.5\n[tenant.c]\ntrace_file = \"" +
+           trace.path() + "\"\n"},
+      {with({"--trace-out", "t.json", "--trace-limit", "500"}),
+       comet_gcc + "[telemetry]\ntrace_out = \"t.json\"\ntrace_limit = 500\n"},
+      {with({"--metrics-interval", "1000", "--metrics-csv", "m.csv"}),
+       comet_gcc +
+           "[telemetry]\nmetrics_interval_ns = 1000\n"
+           "metrics_csv = \"m.csv\"\n"},
+      {with({"--profile"}), comet_gcc + "[profile]\nenabled = true\n"},
+      {with({"--progress"}), comet_gcc + "[profile]\nprogress_ms = 500\n"},
+      {with({"--progress=50"}), comet_gcc + "[profile]\nprogress_ms = 50\n"},
+      {with({"--assert-slo", "p99_read_ns<=1e9"}),
+       comet_gcc + "[slo]\nassert = \"p99_read_ns<=1e9\"\n"},
+  };
+  std::set<std::string> covered;
+  for (const Case& c : cases) {
+    std::string label;
+    for (const auto& arg : c.args) {
+      label += arg + " ";
+      covered.insert(arg.substr(0, arg.find('=')));
+    }
+    const std::string text = "[experiment]\nname = \"cli\"\n" + c.document;
+    try {
+      const auto from_flags = parse_args(c.args).spec;
+      const auto from_document = comet::driver::resolve_experiment(
+          comet::config::parse_experiment(
+              comet::config::toml::parse_string(text, ""),
+              comet::driver::registry_resolver()));
+      EXPECT_TRUE(from_flags == from_document) << label << "\n" << text;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << label << ": " << e.what();
+    }
+  }
+  for (const auto& row : comet::driver::flag_table()) {
+    if (row.key) {
+      EXPECT_TRUE(covered.count(row.name)) << row.name;
+    }
+  }
+}
+
+TEST(FlagTable, ReaderDiagnosticsNameTheFlag) {
+  const auto message = [](const std::vector<std::string>& args) {
+    try {
+      (void)parse_args(args);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message({"--requests", "0"}).rfind("--requests: ", 0), 0u)
+      << message({"--requests", "0"});
+  const std::string drain =
+      message({"--schedule", "frfcfs", "--drain-high", "4"});
+  EXPECT_EQ(
+      drain.rfind("--drain-high: [controller]: 'drain_high_watermark'", 0), 0u)
+      << drain;
+  // Whole-section rules name every flag lowered into the section.
+  const std::string depth = message(
+      {"--schedule", "read-first", "--write-q", "8", "--drain-high", "50"});
+  EXPECT_EQ(depth.rfind("--schedule/--write-q/--drain-high: ", 0), 0u)
+      << depth;
+  // A trace replay and an explicit workload are one stream too many.
+  const TempTraceFile trace;
+  EXPECT_NE(message({"--trace-file", trace.path(), "--workload", "gcc_like"})
+                .find("a trace replay has exactly one request stream"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -422,14 +422,13 @@ TEST(SchedOptions, FlagsParseAndValidate) {
   const auto opt = comet::driver::parse_args(
       {"--device", "comet", "--schedule", "frfcfs", "--read-q", "16",
        "--write-q", "8"});
-  EXPECT_EQ(opt.schedule, "frfcfs");
-  const auto config = comet::driver::scheduler_from_options(opt);
-  ASSERT_TRUE(config.has_value());
-  EXPECT_EQ(config->policy, sc::Policy::kFrFcfs);
-  EXPECT_EQ(config->read_queue_depth, 16);
-  EXPECT_EQ(config->write_queue_depth, 8);
-  EXPECT_EQ(config->drain_high_watermark, 7);
-  EXPECT_EQ(config->drain_low_watermark, 3);
+  EXPECT_EQ(opt.spec.policies, std::vector<sc::Policy>{sc::Policy::kFrFcfs});
+  const auto& config = opt.spec.controller;
+  EXPECT_EQ(config.policy, sc::Policy::kFrFcfs);
+  EXPECT_EQ(config.read_queue_depth, 16);
+  EXPECT_EQ(config.write_queue_depth, 8);
+  EXPECT_EQ(config.drain_high_watermark, 7);
+  EXPECT_EQ(config.drain_low_watermark, 3);
 
   EXPECT_THROW(comet::driver::parse_args({"--schedule", "rr"}),
                std::invalid_argument);
@@ -447,15 +446,14 @@ TEST(SchedOptions, FlagsParseAndValidate) {
 }
 
 TEST(SchedSweep, PolicyAxisExpandsTheMatrix) {
-  const auto spec = comet::config::ExperimentBuilder()
-                        .name("axis")
-                        .device("comet")
-                        .device("hybrid-comet")
-                        .workload("gcc_like")
-                        .schedule({sc::Policy::kFcfs, sc::Policy::kFrFcfs,
-                                   sc::Policy::kReadFirst})
-                        .requests({500})
-                        .build();
+  comet::config::ExperimentSpec spec;
+  spec.name = "axis";
+  spec.device_tokens = {"comet", "hybrid-comet"};
+  spec.workload_names = {"gcc_like"};
+  spec.policies = {sc::Policy::kFcfs, sc::Policy::kFrFcfs,
+                   sc::Policy::kReadFirst};
+  spec.requests = {500};
+  spec.validate();
   const auto jobs = comet::driver::build_matrix(spec);
   ASSERT_EQ(jobs.size(), 6u);
   EXPECT_EQ(jobs[0].controller->policy, sc::Policy::kFcfs);
@@ -464,7 +462,8 @@ TEST(SchedSweep, PolicyAxisExpandsTheMatrix) {
   // Without a schedule the controller stage stays disengaged.
   const auto legacy = comet::driver::build_matrix(
       comet::driver::parse_args({"--device", "comet", "--workload",
-                                 "gcc_like"}));
+                                 "gcc_like"})
+          .spec);
   ASSERT_EQ(legacy.size(), 1u);
   EXPECT_FALSE(legacy[0].controller.has_value());
 }
@@ -472,17 +471,16 @@ TEST(SchedSweep, PolicyAxisExpandsTheMatrix) {
 TEST(SchedSweep, ThreadedMatchesSerialForEveryPolicy) {
   // Serial-vs-threaded bit-identity of every policy over hybrid-all
   // (plus flat COMET), the scheduler analogue of the hybrid sweep gate.
-  const auto spec = comet::config::ExperimentBuilder()
-                        .name("policies")
-                        .device("comet")
-                        .device("hybrid-all")
-                        .workload("gcc_like")
-                        .schedule({sc::Policy::kFcfs, sc::Policy::kFrFcfs,
-                                   sc::Policy::kReadFirst})
-                        .controller_config(sc::ControllerConfig::with_depths(
-                            sc::Policy::kFcfs, 16, 16))
-                        .requests({1200})
-                        .build();
+  comet::config::ExperimentSpec spec;
+  spec.name = "policies";
+  spec.device_tokens = {"comet", "hybrid-all"};
+  spec.workload_names = {"gcc_like"};
+  spec.policies = {sc::Policy::kFcfs, sc::Policy::kFrFcfs,
+                   sc::Policy::kReadFirst};
+  spec.controller =
+      sc::ControllerConfig::with_depths(sc::Policy::kFcfs, 16, 16);
+  spec.requests = {1200};
+  spec.validate();
   const auto jobs = comet::driver::build_matrix(spec);
   ASSERT_EQ(jobs.size(), 18u);  // (1 flat + 5 hybrid) x 3 policies
   const auto serial = comet::driver::run_sweep(jobs, 1);
@@ -504,7 +502,7 @@ TEST(SchedReport, JsonCarriesSchedObjectAndPercentiles) {
   const auto opt = comet::driver::parse_args(
       {"--device", "comet", "--workload", "gcc_like", "--requests", "600",
        "--schedule", "frfcfs"});
-  const auto jobs = comet::driver::build_matrix(opt);
+  const auto jobs = comet::driver::build_matrix(opt.spec);
   const auto results = comet::driver::run_sweep(jobs, 1);
   std::ostringstream os;
   comet::driver::write_json(os, jobs, results);
@@ -520,7 +518,7 @@ TEST(SchedReport, JsonCarriesSchedObjectAndPercentiles) {
   // Legacy runs serialize the scheduler group as null.
   const auto legacy_opt = comet::driver::parse_args(
       {"--device", "comet", "--workload", "gcc_like", "--requests", "600"});
-  const auto legacy_jobs = comet::driver::build_matrix(legacy_opt);
+  const auto legacy_jobs = comet::driver::build_matrix(legacy_opt.spec);
   const auto legacy_results = comet::driver::run_sweep(legacy_jobs, 1);
   std::ostringstream legacy_os;
   comet::driver::write_json(legacy_os, legacy_jobs, legacy_results);
@@ -531,7 +529,7 @@ TEST(SchedReport, TableShowsSchedulerBreakdown) {
   const auto opt = comet::driver::parse_args(
       {"--device", "epcm", "--workload", "lbm_like", "--requests", "600",
        "--schedule", "read-first"});
-  const auto jobs = comet::driver::build_matrix(opt);
+  const auto jobs = comet::driver::build_matrix(opt.spec);
   const auto results = comet::driver::run_sweep(jobs, 1);
   std::ostringstream os;
   comet::driver::print_report(os, jobs, results, /*csv=*/false);
