@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
-#include "memsim/pump.hpp"
 #include "memsim/sharded.hpp"
 #include "memsim/system.hpp"
-#include "prof/profiler.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/units.hpp"
 
@@ -90,93 +90,6 @@ TieredSystem::TieredSystem(
   if (backend_controller_) backend_controller_->validate();
 }
 
-namespace {
-
-/// Both tier replays behind one LanePool: DRAM-tier channel lanes first
-/// ([0, D)), backend channel lanes after ([D, D+B)); the backend lanes
-/// carry the controller front-end when one is configured. With
-/// run_threads <= 1 the pool feeds inline on the caller's thread — the
-/// serial path and the sharded path are the same code, differing only
-/// in where lanes execute, which is what the bit-identity tests pin.
-class TierStage {
- public:
-  TierStage(const memsim::MemorySystem& dram,
-            const memsim::MemorySystem& backend,
-            const std::optional<sched::ControllerConfig>& controller,
-            const std::string& workload_name, int threads,
-            telemetry::Recorder* dram_telemetry,
-            telemetry::Recorder* backend_telemetry,
-            prof::Profiler* profiler)
-      : dram_(dram),
-        backend_(backend),
-        dram_lanes_(static_cast<std::size_t>(dram.model().timing.channels)),
-        pool_(make_lanes(dram, backend, controller, workload_name,
-                         dram_telemetry, backend_telemetry),
-              threads, profiler ? profiler->add_pool("tiers") : nullptr) {}
-
-  void feed_dram(const memsim::Request& request) {
-    pool_.feed(
-        static_cast<std::size_t>(
-            memsim::place_request(dram_.model().timing, request).channel),
-        request);
-  }
-
-  void feed_backend(const memsim::Request& request) {
-    pool_.feed(dram_lanes_ +
-                   static_cast<std::size_t>(
-                       memsim::place_request(backend_.model().timing, request)
-                           .channel),
-               request);
-  }
-
-  /// Joins the pool and merges each tier's lane slices in channel order
-  /// — the serial sessions' own reduction, so per-tier results are
-  /// bit-identical to unsharded replays of the same sub-streams.
-  void finish(memsim::ReplaySlice& dram_slice,
-              memsim::ReplaySlice& backend_slice) {
-    const std::vector<memsim::ReplaySlice> slices = pool_.finish();
-    for (std::size_t i = 0; i < dram_lanes_; ++i) {
-      memsim::merge_slice(dram_slice, slices[i]);
-    }
-    for (std::size_t i = dram_lanes_; i < slices.size(); ++i) {
-      memsim::merge_slice(backend_slice, slices[i]);
-    }
-  }
-
- private:
-  static std::vector<std::unique_ptr<memsim::ShardLane>> make_lanes(
-      const memsim::MemorySystem& dram, const memsim::MemorySystem& backend,
-      const std::optional<sched::ControllerConfig>& controller,
-      const std::string& workload_name, telemetry::Recorder* dram_telemetry,
-      telemetry::Recorder* backend_telemetry) {
-    std::vector<std::unique_ptr<memsim::ShardLane>> lanes;
-    const int dram_channels = dram.model().timing.channels;
-    const int backend_channels = backend.model().timing.channels;
-    lanes.reserve(static_cast<std::size_t>(dram_channels + backend_channels));
-    for (int c = 0; c < dram_channels; ++c) {
-      lanes.push_back(std::make_unique<memsim::SessionLane>(
-          dram, workload_name, dram_telemetry));
-    }
-    for (int c = 0; c < backend_channels; ++c) {
-      if (controller) {
-        lanes.push_back(std::make_unique<sched::ControllerLane>(
-            backend, *controller, workload_name, backend_telemetry));
-      } else {
-        lanes.push_back(std::make_unique<memsim::SessionLane>(
-            backend, workload_name, backend_telemetry));
-      }
-    }
-    return lanes;
-  }
-
-  const memsim::MemorySystem& dram_;
-  const memsim::MemorySystem& backend_;
-  std::size_t dram_lanes_;
-  memsim::LanePool pool_;
-};
-
-}  // namespace
-
 TieredStats TieredSystem::run_tiered(memsim::RequestSource& source,
                                      const std::string& workload_name) const {
   using memsim::Op;
@@ -187,44 +100,52 @@ TieredStats TieredSystem::run_tiered(memsim::RequestSource& source,
   stats.combined.workload_name = workload_name;
   stats.combined.hybrid = true;
 
-  // Filter the demand stream through the cache tag model, feeding the
-  // derived traffic straight into one incremental replay lane per tier
-  // channel (TierStage). Derived requests reuse the demand arrival time
-  // and are fed in demand order, so both sub-streams inherit the
-  // sorted-stream contract. The tag state is global across channels, so
-  // the filter itself stays on this thread whatever run_threads says.
+  // Filter the demand stream through the cache tag model, routing the
+  // derived traffic straight into one replay lane per tier channel
+  // (memsim::run_sharded; tier kDram then kBackend). Derived requests
+  // reuse the demand arrival time and are emitted in demand order, so
+  // both sub-streams inherit the sorted-stream contract. The tag state
+  // is global across channels, so the filter itself stays on this
+  // thread whatever run_threads says.
   DramCache cache(config_.cache);
   const std::uint32_t line_bytes = config_.cache.line_bytes;
   const memsim::MemorySystem dram_system(config_.dram);
   const memsim::MemorySystem backend_system(config_.backend);
   // Per-tier telemetry stages: the event budget splits evenly between
-  // the tiers (0 = unlimited splits to unlimited on both).
+  // the tiers (an unlimited budget stays unlimited on both).
   const std::uint64_t limit =
       telemetry() ? telemetry()->spec().trace_limit : 0;
+  const auto share = [limit](std::uint64_t part) {
+    return limit == 0 ? std::nullopt : std::optional<std::uint64_t>(part);
+  };
   telemetry::Recorder* dram_recorder =
-      telemetry_stage(config_.dram.timing, "dram", limit / 2);
-  telemetry::Recorder* backend_recorder =
-      telemetry_stage(config_.backend.timing, "backend", limit - limit / 2);
-  prof::Profiler* const profiler = this->profiler();
-  TierStage tiers(dram_system, backend_system, backend_controller_,
-                  workload_name, run_threads_, dram_recorder,
-                  backend_recorder, profiler);
+      telemetry_stage(config_.dram.timing, "dram", share(limit / 2));
+  telemetry::Recorder* backend_recorder = telemetry_stage(
+      config_.backend.timing, "backend", share(limit - limit / 2));
+  std::vector<memsim::LaneTier> tiers;
+  tiers.push_back(memsim::make_tier(dram_system, [&] {
+    return std::make_unique<memsim::ReplaySession>(dram_system, workload_name,
+                                                   dram_recorder);
+  }));
+  tiers.push_back(memsim::make_tier(
+      backend_system, [&]() -> std::unique_ptr<memsim::ShardLane> {
+        if (backend_controller_) {
+          return std::make_unique<sched::Controller>(
+              backend_system, *backend_controller_, workload_name,
+              backend_recorder);
+        }
+        return std::make_unique<memsim::ReplaySession>(
+            backend_system, workload_name, backend_recorder);
+      }));
+  enum : std::size_t { kDram, kBackend };
   // Derived-request ids live in their own (top-bit) namespace, above any
   // realistic demand id space, for traceability.
   std::uint64_t next_id = 1ull << 63;
 
   auto& c = stats.combined;
-  std::uint64_t demand_index = 0;
   std::uint64_t demand_start = 0;
-  std::uint64_t prev_arrival = 0;
-  const auto process_demand = [&](const Request& req) {
-    if (demand_index == 0) {
-      demand_start = req.arrival_ps;
-    } else {
-      memsim::check_arrival_order(demand_index, prev_arrival, req.arrival_ps);
-    }
-    prev_arrival = req.arrival_ps;
-    ++demand_index;
+  const auto process_demand = [&](const Request& req, auto& emit) {
+    if (c.reads + c.writes == 0) demand_start = req.arrival_ps;
 
     const bool is_write = req.op == Op::kWrite;
     if (is_write) {
@@ -258,23 +179,14 @@ TieredStats TieredSystem::run_tiered(memsim::RequestSource& source,
       // Derived traffic inherits the demand's tenant, so the tiers'
       // per-tenant latency and a fairness-aware backend controller both
       // see whose request caused it.
-      const auto emit_dram = [&](Op op, std::uint64_t address,
-                                 std::uint32_t size, std::uint64_t id) {
-        tiers.feed_dram(Request{.id = id,
-                                .arrival_ps = req.arrival_ps,
-                                .op = op,
-                                .address = address,
-                                .size_bytes = size,
-                                .tenant = req.tenant});
-      };
-      const auto emit_backend = [&](Op op, std::uint64_t address,
-                                    std::uint32_t size, std::uint64_t id) {
-        tiers.feed_backend(Request{.id = id,
-                                   .arrival_ps = req.arrival_ps,
-                                   .op = op,
-                                   .address = address,
-                                   .size_bytes = size,
-                                   .tenant = req.tenant});
+      const auto derive = [&](std::size_t tier, Op op, std::uint64_t address,
+                              std::uint32_t size, std::uint64_t id) {
+        emit(tier, Request{.id = id,
+                           .arrival_ps = req.arrival_ps,
+                           .op = op,
+                           .address = address,
+                           .size_bytes = size,
+                           .tenant = req.tenant});
       };
       // The demand bytes falling inside this cache line; fills, fetches
       // and writebacks always move the whole (coarse) line.
@@ -284,8 +196,8 @@ TieredStats TieredSystem::run_tiered(memsim::RequestSource& source,
 
       if (outcome.hit) {
         ++c.cache_hits;
-        emit_dram(req.op, std::max(req.address, line_address), portion,
-                  req.id);
+        derive(kDram, req.op, std::max(req.address, line_address), portion,
+               req.id);
         continue;
       }
       ++c.cache_misses;
@@ -298,36 +210,32 @@ TieredStats TieredSystem::run_tiered(memsim::RequestSource& source,
         // covers the whole line needs no fetch — every fetched byte
         // would be overwritten.
         if (!(is_write && portion == line_bytes)) {
-          emit_backend(Op::kRead, line_address, line_bytes, req.id);
+          derive(kBackend, Op::kRead, line_address, line_bytes, req.id);
         }
-        emit_dram(Op::kWrite, line_address, line_bytes, next_id++);
+        derive(kDram, Op::kWrite, line_address, line_bytes, next_id++);
       } else {
         // Write-no-allocate miss: the demand write goes straight down.
-        emit_backend(Op::kWrite, std::max(req.address, line_address), portion,
-                     req.id);
+        derive(kBackend, Op::kWrite, std::max(req.address, line_address),
+               portion, req.id);
       }
       if (outcome.writeback) {
         ++c.writebacks;
-        emit_backend(Op::kWrite, outcome.writeback_address, line_bytes,
-                     next_id++);
+        derive(kBackend, Op::kWrite, outcome.writeback_address, line_bytes,
+               next_id++);
       }
     }
   };
 
-  memsim::pump(source, profiler, process_demand);
-
-  prof::StageTimer merge_timer(profiler, "shard_merge");
-  memsim::ReplaySlice dram_slice;
-  memsim::ReplaySlice backend_slice;
-  tiers.finish(dram_slice, backend_slice);
-  const std::uint64_t dram_first = dram_slice.first_arrival_ps;
-  const std::uint64_t backend_first = backend_slice.first_arrival_ps;
-  const bool dram_served = dram_slice.fed > 0;
-  const bool backend_served = backend_slice.fed > 0;
-  stats.dram = memsim::finalize_slice(std::move(dram_slice), config_.dram);
+  std::vector<memsim::ReplaySlice> slices =
+      memsim::run_sharded(std::move(tiers), run_threads_, source, profiler(),
+                          "tiers", process_demand);
+  const std::uint64_t dram_first = slices[kDram].first_arrival_ps;
+  const std::uint64_t backend_first = slices[kBackend].first_arrival_ps;
+  const bool dram_served = slices[kDram].fed > 0;
+  const bool backend_served = slices[kBackend].fed > 0;
+  stats.dram = memsim::finalize_slice(std::move(slices[kDram]), config_.dram);
   stats.backend =
-      memsim::finalize_slice(std::move(backend_slice), config_.backend);
-  merge_timer.stop();
+      memsim::finalize_slice(std::move(slices[kBackend]), config_.backend);
 
   // The demand wall-clock: first demand arrival to the last completion
   // of either tier. Each tier's span is anchored at its own sub-stream's

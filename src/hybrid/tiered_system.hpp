@@ -24,9 +24,10 @@
 /// dirty-eviction writebacks), each derived request inheriting the
 /// arrival time and tenant of the demand request that caused it — so
 /// both sub-streams stay sorted and per-tenant accounting survives the
-/// split. The split is fully streaming: demand requests are pumped one
-/// at a time (memsim::pump) and the derived traffic is fed straight
-/// into per-channel replay lanes of both tiers, so neither the demand
+/// split. The split is fully streaming: memsim::run_sharded pumps the
+/// demand requests one at a time through the cache filter, its route,
+/// which feeds the derived traffic straight into per-channel replay
+/// lanes of both tiers, so neither the demand
 /// trace nor either sub-stream is ever materialized (O(1) memory, like
 /// the flat engine).
 namespace comet::hybrid {
@@ -78,24 +79,21 @@ class TieredSystem final : public memsim::Engine {
   /// combined stats then carry the scheduler breakdown of the backend.
   /// Validates both configs.
   ///
-  /// `run_threads` (as in memsim::resolve_run_threads) shards the two
-  /// tier replays into per-channel lanes on a worker pool: the cache
-  /// filter stays on the caller's thread (its tag state is global), the
-  /// derived per-tier traffic fans out by serving channel. Serial and
-  /// sharded runs are one code path (run_threads <= 1 feeds the lanes
-  /// inline) with bit-identical results for any thread count. Unlike a
-  /// flat direct replay, which is always serial because one session per
+  /// Every run replays two tiers through memsim::run_sharded, one pool
+  /// "tiers": the DRAM tier's per-channel ReplaySession lanes, then the
+  /// backend's per-channel Controller (or ReplaySession) lanes, with
+  /// the cache filter as the route. The filter stays on the caller's
+  /// thread (its tag state is global); the derived per-tier traffic fans
+  /// out by serving channel. `run_threads` (as in
+  /// memsim::resolve_run_threads) spreads the lanes over that many
+  /// workers; run_threads <= 1 feeds them inline, the same code path,
+  /// with bit-identical results for any thread count. Unlike a flat
+  /// direct replay, which is always serial because one session per
   /// request costs too little for lane hand-off to pay, the two tiers
   /// together carry enough work per demand request to gain from it.
   TieredSystem(TieredConfig config,
                std::optional<sched::ControllerConfig> backend_controller,
                int run_threads = 1);
-
-  const TieredConfig& config() const { return config_; }
-  const std::optional<sched::ControllerConfig>& backend_controller() const {
-    return backend_controller_;
-  }
-  int run_threads() const { return run_threads_; }
 
   /// Streams the demand source (which must yield requests sorted by
   /// arrival time; throws std::invalid_argument naming the offending

@@ -19,7 +19,7 @@ telemetry::Recorder* Engine::telemetry_stage(
   if (!telemetry_) return nullptr;
   return telemetry_->add_stage(
       std::move(name), timing.channels, timing.banks_per_channel,
-      event_budget.value_or(telemetry_->spec().trace_limit));
+      event_budget.value_or(telemetry_->spec().event_budget()));
 }
 
 }  // namespace comet::memsim

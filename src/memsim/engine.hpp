@@ -78,7 +78,7 @@ class Engine {
   /// stage's recorder, or nullptr when no collector is attached. The
   /// stage gets the collector's whole request-trace budget unless
   /// `event_budget` gives it a share (composite engines split one
-  /// budget across their stages).
+  /// budget across their stages; a share of 0 stores no events).
   telemetry::Recorder* telemetry_stage(
       const DeviceTiming& timing, std::string name = "",
       std::optional<std::uint64_t> event_budget = std::nullopt) const;

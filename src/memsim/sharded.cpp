@@ -8,8 +8,6 @@
 #include <thread>
 #include <utility>
 
-#include "memsim/pump.hpp"
-#include "prof/profiler.hpp"
 #include "util/ring.hpp"
 
 namespace comet::memsim {
@@ -279,33 +277,36 @@ void LanePool::feed(std::size_t lane, const Request& request) {
 
 std::vector<ReplaySlice> LanePool::finish() { return impl_->finish(); }
 
-SimStats run_sharded(const MemorySystem& system,
-                     std::vector<std::unique_ptr<ShardLane>> lanes,
-                     int threads, RequestSource& source,
-                     prof::Profiler* profiler) {
-  const DeviceTiming& timing = system.model().timing;
-  if (lanes.size() != static_cast<std::size_t>(timing.channels)) {
-    throw std::invalid_argument("run_sharded: one lane per channel required");
+namespace detail {
+
+std::vector<std::unique_ptr<ShardLane>> pool_lanes(
+    std::vector<LaneTier>& tiers, std::vector<std::size_t>& offsets) {
+  std::vector<std::unique_ptr<ShardLane>> lanes;
+  offsets.clear();
+  for (LaneTier& tier : tiers) {
+    if (tier.lanes.size() !=
+        static_cast<std::size_t>(tier.system.model().timing.channels)) {
+      throw std::invalid_argument(
+          "run_sharded: one lane per channel required");
+    }
+    offsets.push_back(lanes.size());
+    for (auto& lane : tier.lanes) lanes.push_back(std::move(lane));
   }
-  prof::PoolProfile* pool_profile =
-      profiler ? profiler->add_pool("") : nullptr;
-  LanePool pool(std::move(lanes), threads, pool_profile);
-  std::uint64_t fed = 0;
-  std::uint64_t prev_arrival = 0;
-  pump(source, profiler, [&](const Request& req) {
-    // The global sorted-stream contract, with serial-identical
-    // diagnostics; lanes re-check their own subsequences a fortiori.
-    if (fed > 0) check_arrival_order(fed, prev_arrival, req.arrival_ps);
-    prev_arrival = req.arrival_ps;
-    ++fed;
-    pool.feed(static_cast<std::size_t>(place_request(timing, req).channel),
-              req);
-  });
-  prof::StageTimer merge_timer(profiler, "shard_merge");
-  std::vector<ReplaySlice> slices = pool.finish();
-  ReplaySlice total;
-  for (const ReplaySlice& slice : slices) merge_slice(total, slice);
-  return finalize_slice(std::move(total), system.model());
+  offsets.push_back(lanes.size());
+  return lanes;
 }
+
+std::vector<ReplaySlice> merge_tiers(const std::vector<ReplaySlice>& slices,
+                                     const std::vector<std::size_t>& offsets) {
+  std::vector<ReplaySlice> merged(offsets.size() - 1);
+  for (std::size_t tier = 0; tier + 1 < offsets.size(); ++tier) {
+    for (std::size_t i = offsets[tier]; i < offsets[tier + 1]; ++i) {
+      merge_slice(merged[tier], slices[i]);
+    }
+  }
+  return merged;
+}
+
+}  // namespace detail
 
 }  // namespace comet::memsim

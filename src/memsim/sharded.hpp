@@ -5,7 +5,9 @@
 #include <string>
 #include <vector>
 
+#include "memsim/pump.hpp"
 #include "memsim/system.hpp"
+#include "prof/profiler.hpp"
 
 /// Sharded per-channel parallel replay.
 ///
@@ -21,66 +23,35 @@
 /// bit-identity is a hard test gate (tests/test_sharded.cpp), not a
 /// best-effort property.
 ///
-/// Who shards: sched::ScheduledSystem (always through per-channel
-/// ControllerLanes; run_threads <= 1 feeds them inline) and
-/// hybrid::TieredSystem (both tier replays behind one pool). Flat
-/// direct replay does not: a MemorySystem is always one serial
-/// ReplaySession, because a request costs too little there for the
-/// routing and block hand-off to pay — measured on a 4-thread host,
+/// Who shards: every laned engine goes through run_sharded, with the
+/// replay primitives themselves as lanes (ReplaySession and
+/// sched::Controller are ShardLanes). sched::ScheduledSystem runs one
+/// tier of Controller lanes behind an identity route;
+/// hybrid::TieredSystem runs a DRAM tier of session lanes and a backend
+/// tier of session or Controller lanes behind its cache filter. Both
+/// always replay through the pool (run_threads <= 1 feeds the lanes
+/// inline). Flat direct replay does not: a MemorySystem is always one
+/// serial ReplaySession, because a request costs too little there for
+/// the routing and block hand-off to pay — measured on a 4-thread host,
 /// 4 workers ran flat COMET at 0.87-1.14x serial, and inline lanes cost
 /// 35-43% more than one session.
 ///
-/// Threading model: the caller's thread is the producer — it pulls the
-/// source in blocks (sources are single-pass and stay single-threaded),
-/// routes each request to its lane, and hands ~kFeedBlockRequests-sized
-/// blocks to the lane's worker over a bounded queue. Lanes map to
-/// workers round-robin (lane % workers); each lane is only ever touched
-/// by one worker, so lanes need no locking of their own. With
-/// threads <= 1 the pool degenerates to inline feeding on the caller's
-/// thread — zero threading overhead, same code path as the tests'
-/// reference runs.
-namespace comet::prof {
-class Profiler;
-struct PoolProfile;
-}
-
+/// Threading model: the caller's thread is the producer — memsim::pump
+/// pulls the source in blocks (sources are single-pass and stay
+/// single-threaded) and checks its arrival order, the engine's route
+/// turns each demand request into lane requests, and the pool hands
+/// ~kFeedBlockRequests-sized blocks to each lane's worker over a bounded
+/// queue. Lanes map to workers round-robin (lane % workers); each lane
+/// is only ever touched by one worker, so lanes need no locking of
+/// their own. With threads <= 1 the pool degenerates to inline feeding
+/// on the caller's thread — zero threading overhead, same code path as
+/// the tests' reference runs.
 namespace comet::memsim {
 
 /// Resolves a --run-threads request: 0 means one thread per hardware
 /// thread (at least 1), any positive value is taken as-is. Throws
 /// std::invalid_argument on negative values.
 int resolve_run_threads(int requested);
-
-/// One shard lane: a full replay pipeline (session, or a scheduler
-/// front-end over one) that consumes exactly one channel's subsequence
-/// of the run's stream. feed() is called in stream order by the lane's
-/// single worker; finish_slice() is called once, after every feed, from
-/// the merging thread.
-class ShardLane {
- public:
-  virtual ~ShardLane() = default;
-  virtual void feed(const Request& request) = 0;
-  virtual ReplaySlice finish_slice() = 0;
-};
-
-/// Plain ReplaySession lane — the shard unit of an unscheduled tier
-/// replay (hybrid::TieredSystem). The optional telemetry recorder is
-/// shared by every lane of a stage: each lane only writes the recorder
-/// lane of the channel it serves, so the sharing is race-free and the
-/// recorded telemetry is byte-identical to a serial session's (see
-/// telemetry.hpp).
-class SessionLane final : public ShardLane {
- public:
-  SessionLane(const MemorySystem& system, std::string workload_name,
-              telemetry::Recorder* telemetry = nullptr)
-      : session_(system, std::move(workload_name), telemetry) {}
-
-  void feed(const Request& request) override { session_.feed(request); }
-  ReplaySlice finish_slice() override { return session_.finish_slice(); }
-
- private:
-  ReplaySession session_;
-};
 
 /// Runs N lanes on up to `threads` worker threads (bounded block queues,
 /// block recycling through a free list; see the header comment for the
@@ -114,17 +85,68 @@ class LanePool {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Shared driver for sharded engines: pumps `source` (memsim::pump)
-/// through one lane per device channel (routing by the same
-/// place_request hash the replay uses), enforcing the global
-/// sorted-by-arrival contract with serial-identical diagnostics, then
-/// merges the slices in channel order and finalizes against `system`'s
-/// model.
-/// A non-null `profiler` receives a pool profile plus "source_pull" /
-/// "engine_feed" / "shard_merge" stage timings and live progress ticks.
-SimStats run_sharded(const MemorySystem& system,
-                     std::vector<std::unique_ptr<ShardLane>> lanes,
-                     int threads, RequestSource& source,
-                     prof::Profiler* profiler = nullptr);
+/// One tier of a sharded run: the device it replays against and one
+/// lane per device channel, in channel order.
+struct LaneTier {
+  const MemorySystem& system;
+  std::vector<std::unique_ptr<ShardLane>> lanes;
+};
+
+/// The lanes of a tier: `make_lane()` once per channel of `system`.
+template <typename MakeLane>
+LaneTier make_tier(const MemorySystem& system, MakeLane&& make_lane) {
+  LaneTier tier{system, {}};
+  for (int c = 0; c < system.model().timing.channels; ++c) {
+    tier.lanes.push_back(make_lane());
+  }
+  return tier;
+}
+
+namespace detail {
+
+/// Moves every tier's lanes into one pool-ordered list (tier by tier,
+/// channel order within each); `offsets` receives each tier's first
+/// pool lane, then the total. Throws std::invalid_argument if a tier's
+/// lane count is not its device's channel count.
+std::vector<std::unique_ptr<ShardLane>> pool_lanes(
+    std::vector<LaneTier>& tiers, std::vector<std::size_t>& offsets);
+
+/// Merges pool-ordered lane slices into one slice per tier.
+std::vector<ReplaySlice> merge_tiers(const std::vector<ReplaySlice>& slices,
+                                     const std::vector<std::size_t>& offsets);
+
+}  // namespace detail
+
+/// The one laned-replay driver. Pumps `source` (memsim::pump, which
+/// owns the global arrival-order check) through `route(request, emit)`,
+/// where `emit(tier, request)` feeds `request` to the lane of `tier`
+/// serving its channel (the place_request hash the replay uses). Every
+/// lane of every tier runs in one LanePool of up to `threads` workers.
+/// Returns one slice per tier, its lanes merged in channel order (the
+/// serial sessions' own reduction), ready for finalize_slice. The route
+/// is a template argument so it inlines, as pump's feed does.
+/// A non-null `profiler` receives the pool's profile under `pool_name`,
+/// the "source_pull" / "engine_feed" stage timings and live progress
+/// ticks of pump, and the "shard_merge" stage (pool join and merge).
+template <typename Route>
+std::vector<ReplaySlice> run_sharded(std::vector<LaneTier> tiers, int threads,
+                                     RequestSource& source,
+                                     prof::Profiler* profiler,
+                                     const std::string& pool_name,
+                                     Route&& route) {
+  std::vector<std::size_t> offsets;
+  LanePool pool(detail::pool_lanes(tiers, offsets), threads,
+                profiler ? profiler->add_pool(pool_name) : nullptr);
+  const auto emit = [&](std::size_t tier, const Request& request) {
+    const DeviceTiming& timing = tiers[tier].system.model().timing;
+    pool.feed(offsets[tier] + static_cast<std::size_t>(
+                                  place_request(timing, request).channel),
+              request);
+  };
+  pump(source, profiler,
+       [&](const Request& request) { route(request, emit); });
+  prof::StageTimer merge_timer(profiler, "shard_merge");
+  return detail::merge_tiers(pool.finish(), offsets);
+}
 
 }  // namespace comet::memsim

@@ -11,12 +11,6 @@
 namespace comet::memsim {
 namespace {
 
-struct BankState {
-  std::uint64_t free_ps = 0;
-  std::uint64_t open_row = ~0ull;
-  std::uint64_t current_region = ~0ull;
-};
-
 /// Per-channel statistics lane. Every per-request accumulation is
 /// channel-local; finish_slice() merges the lanes in channel order.
 /// This is what the sharded engine's bit-identity rests on: a session
@@ -72,20 +66,13 @@ std::uint64_t avoid_refresh(std::uint64_t t, const DeviceTiming& timing) {
 
 }  // namespace
 
-void check_arrival_order(std::uint64_t index, std::uint64_t prev_ps,
-                         std::uint64_t arrival_ps) {
-  if (arrival_ps >= prev_ps) return;
+void throw_unsorted(std::uint64_t index, std::uint64_t prev_ps,
+                    std::uint64_t arrival_ps) {
   std::ostringstream msg;
   msg << "unsorted trace: request at index " << index << " arrives at "
       << arrival_ps << " ps, before the previous request's " << prev_ps
       << " ps";
   throw std::invalid_argument(msg.str());
-}
-
-void require_sorted_by_arrival(const std::vector<Request>& requests) {
-  for (std::size_t i = 1; i < requests.size(); ++i) {
-    check_arrival_order(i, requests[i - 1].arrival_ps, requests[i].arrival_ps);
-  }
 }
 
 RequestPlacement place_request(const DeviceTiming& timing,
@@ -195,7 +182,6 @@ struct ReplaySession::Impl {
   SimStats stats;  ///< Carries only the names until finish_slice().
   std::vector<ChannelState> channels;
   std::uint64_t fed = 0;
-  std::uint64_t first_arrival = 0;
   std::uint64_t prev_arrival = 0;
   bool finished = false;
 
@@ -213,19 +199,11 @@ struct ReplaySession::Impl {
     }
   }
 
-  FeedResult feed(const Request& req, std::uint64_t issue_ps,
-                  bool check_issue_order) {
+  std::uint64_t feed(const Request& req, std::uint64_t issue_ps,
+                     bool check_issue_order) {
     const DeviceModel& model = system.model_;
     const DeviceTiming& t = model.timing;
 
-    if (fed == 0) {
-      first_arrival = req.arrival_ps;
-    } else {
-      // A scheduled (reordered) stream can deliver an earlier arrival
-      // late; the span is still anchored at the true first arrival. On
-      // a sorted stream this is exactly the legacy "first fed" rule.
-      first_arrival = std::min(first_arrival, req.arrival_ps);
-    }
     prev_arrival = req.arrival_ps;
     ++fed;
 
@@ -259,34 +237,23 @@ struct ReplaySession::Impl {
       ch.inflight_completions.pop_front();
     }
 
-    // Resolve the serving bank set.
-    const auto bank_index = static_cast<std::size_t>(placement.bank);
+    // The serving bank set: every bank of the channel when striped.
     const std::uint64_t row = placement.row;
     const std::uint64_t region = placement.region;
-
-    std::uint64_t bank_free = 0;
-    if (t.line_striped_across_banks) {
-      for (const auto& bank : ch.banks) {
-        bank_free = std::max(bank_free, bank.free_ps);
-      }
-    } else {
-      bank_free = ch.banks[bank_index].free_ps;
-    }
-
-    std::uint64_t start = std::max(earliest, bank_free);
+    std::uint64_t start =
+        std::max(earliest, serving_free_ps(t, ch.banks, placement.bank));
     start = avoid_refresh(start, t);
 
     // Per-access occupancy, adjusted by the row buffer / region switch.
     std::uint64_t per_access = req.op == Op::kRead ? t.read_occupancy_ps
                                                    : t.write_occupancy_ps;
-    BankState& lead_bank =
-        t.line_striped_across_banks ? ch.banks.front() : ch.banks[bank_index];
-    if (t.has_row_buffer && lead_bank.open_row == row &&
+    const BankState& lead = lead_bank(t, ch.banks, placement.bank);
+    if (t.has_row_buffer && lead.open_row == row &&
         per_access > t.row_hit_saving_ps) {
       per_access -= t.row_hit_saving_ps;
     }
     std::uint64_t occupancy = per_access * accesses;
-    if (t.region_size_bytes && lead_bank.current_region != region) {
+    if (t.region_size_bytes && lead.open_region != region) {
       occupancy += t.region_switch_ps;
     }
 
@@ -303,17 +270,11 @@ struct ReplaySession::Impl {
         std::max(transfer_end, busy_until + tail);
 
     // Commit state.
+    const BankState committed{bank_busy_until, row, region};
     if (t.line_striped_across_banks) {
-      for (auto& bank : ch.banks) {
-        bank.free_ps = bank_busy_until;
-        bank.open_row = row;
-        bank.current_region = region;
-      }
+      std::fill(ch.banks.begin(), ch.banks.end(), committed);
     } else {
-      auto& bank = ch.banks[bank_index];
-      bank.free_ps = bank_busy_until;
-      bank.open_row = row;
-      bank.current_region = region;
+      ch.banks[static_cast<std::size_t>(placement.bank)] = committed;
     }
     ch.inflight_completions.push_back(completion);
 
@@ -370,7 +331,7 @@ struct ReplaySession::Impl {
                                   .tenant = req.tenant,
                                   .op = req.op});
     }
-    return FeedResult{start, completion, bank_busy_until};
+    return completion;
   }
 
   ReplaySlice finish_slice() {
@@ -407,19 +368,17 @@ ReplaySession::ReplaySession(ReplaySession&&) noexcept = default;
 ReplaySession& ReplaySession::operator=(ReplaySession&&) noexcept = default;
 ReplaySession::~ReplaySession() = default;
 
-FeedResult ReplaySession::feed(const Request& request) {
+void ReplaySession::feed(const Request& request) {
   if (impl_->finished) {
     throw std::logic_error("ReplaySession: feed() after finish()");
   }
-  if (impl_->fed > 0) {
-    check_arrival_order(impl_->fed, impl_->prev_arrival, request.arrival_ps);
-  }
+  check_arrival_order(impl_->fed, impl_->prev_arrival, request.arrival_ps);
   // A sorted stream is per-channel sorted a fortiori; skip the check.
-  return impl_->feed(request, request.arrival_ps, false);
+  impl_->feed(request, request.arrival_ps, false);
 }
 
-FeedResult ReplaySession::feed_issued(const Request& request,
-                                      std::uint64_t issue_ps) {
+std::uint64_t ReplaySession::feed_issued(const Request& request,
+                                         std::uint64_t issue_ps) {
   if (impl_->finished) {
     throw std::logic_error("ReplaySession: feed_issued() after finish()");
   }
@@ -431,11 +390,11 @@ FeedResult ReplaySession::feed_issued(const Request& request,
   return impl_->feed(request, issue_ps, true);
 }
 
-std::uint64_t ReplaySession::fed() const { return impl_->fed; }
-
-std::uint64_t ReplaySession::first_arrival_ps() const {
-  return impl_->first_arrival;
+std::span<const BankState> ReplaySession::banks(int channel) const {
+  return impl_->channels[static_cast<std::size_t>(channel)].banks;
 }
+
+std::uint64_t ReplaySession::fed() const { return impl_->fed; }
 
 SimStats ReplaySession::finish() {
   if (impl_->finished) {

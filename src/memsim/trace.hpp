@@ -23,7 +23,7 @@
 /// Diagnostics: every parse error is a std::runtime_error naming the
 /// 1-based line number and the offending line text; records whose cycle
 /// count goes backwards are rejected in the same style (mirroring
-/// require_sorted_by_arrival), so a broken trace fails loudly at its
+/// check_arrival_order), so a broken trace fails loudly at its
 /// first bad line rather than deep inside a replay.
 namespace comet::memsim {
 

@@ -83,7 +83,7 @@ struct WorkerProfile {
 /// per-request timing on the caller's thread would cost on the hot
 /// path, and "worker utilization" has no meaning without workers.
 struct PoolProfile {
-  std::string stage;   ///< "" for flat pools, "tiers" for hybrid.
+  std::string stage;   ///< "" for scheduled pools, "tiers" for hybrid.
   int threads = 0;     ///< Worker count; 0 = inline mode.
   double wall_s = 0.0; ///< Pool construction to finish().
 

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "memsim/sharded.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/names.hpp"
 #include "util/ring.hpp"
@@ -119,6 +121,7 @@ struct QueuedTx {
 
 struct Controller::Impl {
   const memsim::MemorySystem& system;
+  const memsim::DeviceTiming& timing;
   const ControllerConfig config;
   telemetry::Recorder* const telemetry;  ///< Null = no observability cost.
   memsim::ReplaySession session;
@@ -155,12 +158,6 @@ struct Controller::Impl {
     // full wait here, entering FIFO when an issue frees a slot.
     util::RingQueue<QueuedTx> stalled_reads;
     util::RingQueue<QueuedTx> stalled_writes;
-    // Bank-state mirror rebuilt from feed feedback, so arbitration and
-    // the device timing always agree on busy windows and open
-    // rows/regions.
-    std::vector<std::uint64_t> bank_free;
-    std::vector<std::uint64_t> open_row;
-    std::vector<std::uint64_t> open_region;
     bool draining = false;
     // Fairness-policy state, indexed by Request::tenant (0, the
     // untagged stream, included) and grown on demand — untagged legacy
@@ -170,7 +167,7 @@ struct Controller::Impl {
     std::vector<int> tokens;  ///< token-budget: issues left this epoch.
     std::vector<std::uint64_t> starved;  ///< frfcfs-cap: passes endured.
     std::vector<std::uint64_t> queued_per_tenant;  ///< frfcfs-cap.
-    // A channel's pick depends only on its own queues/mirror/drain
+    // A channel's pick depends only on its own queues/banks/drain
     // state, so it stays valid until this channel issues or admits —
     // advance_until then rescans only the touched channel.
     Pick cached_pick;
@@ -200,25 +197,20 @@ struct Controller::Impl {
 
   std::uint64_t next_seq = 0;
   std::uint64_t admitted = 0;
-  std::uint64_t first_arrival = 0;
   std::uint64_t prev_arrival = 0;
   bool finished = false;
 
   Impl(const memsim::MemorySystem& sys, const ControllerConfig& cfg,
        std::string workload_name, telemetry::Recorder* recorder)
       : system(sys),
+        timing(sys.model().timing),
         config(cfg),
         telemetry(recorder),
         session(sys, std::move(workload_name), recorder) {
-    const auto& t = sys.model().timing;
-    channels.resize(static_cast<std::size_t>(t.channels));
+    channels.resize(static_cast<std::size_t>(timing.channels));
     for (std::size_t c = 0; c < channels.size(); ++c) {
       auto& ch = channels[c];
       ch.index = static_cast<int>(c);
-      const auto banks = static_cast<std::size_t>(t.banks_per_channel);
-      ch.bank_free.assign(banks, 0);
-      ch.open_row.assign(banks, ~0ull);
-      ch.open_region.assign(banks, ~0ull);
       if (config.read_queue_depth > 0) {
         ch.reads.reserve(static_cast<std::size_t>(config.read_queue_depth));
       }
@@ -228,34 +220,23 @@ struct Controller::Impl {
     }
   }
 
-  /// Earliest instant `tx` could start on its target bank(s) — striped
-  /// devices occupy every bank of the channel, so all must be free.
-  std::uint64_t ready_time(const Channel& ch, const QueuedTx& tx) const {
-    const auto& t = system.model().timing;
-    std::uint64_t bank_free = 0;
-    if (t.line_striped_across_banks) {
-      for (const auto free_ps : ch.bank_free) {
-        bank_free = std::max(bank_free, free_ps);
-      }
-    } else {
-      bank_free = ch.bank_free[static_cast<std::size_t>(tx.placement.bank)];
-    }
-    return std::max(tx.admit_ps, bank_free);
+  /// Earliest instant `tx` could start on its target bank(s), read
+  /// from the session's `banks` of the transaction's channel.
+  std::uint64_t ready_time(std::span<const memsim::BankState> banks,
+                           const QueuedTx& tx) const {
+    return std::max(tx.admit_ps,
+                    memsim::serving_free_ps(timing, banks, tx.placement.bank));
   }
 
   /// FR-FCFS preference: the open DRAM row, or the currently selected
   /// photonic GST region (whose switch penalty behaves like a row miss).
-  bool open_hit(const Channel& ch, const QueuedTx& tx) const {
-    const auto& t = system.model().timing;
-    const auto lead = static_cast<std::size_t>(
-        t.line_striped_across_banks ? 0 : tx.placement.bank);
-    if (t.has_row_buffer && ch.open_row[lead] == tx.placement.row) {
-      return true;
-    }
-    if (t.region_size_bytes && ch.open_region[lead] == tx.placement.region) {
-      return true;
-    }
-    return false;
+  bool open_hit(std::span<const memsim::BankState> banks,
+                const QueuedTx& tx) const {
+    const memsim::BankState& lead =
+        memsim::lead_bank(timing, banks, tx.placement.bank);
+    return (timing.has_row_buffer && lead.open_row == tx.placement.row) ||
+           (timing.region_size_bytes &&
+            lead.open_region == tx.placement.region);
   }
 
   /// The transaction this channel's policy would issue next (and when),
@@ -265,6 +246,7 @@ struct Controller::Impl {
   /// tenant is spent (channel-local, so still deterministic).
   Pick next_issue(Channel& ch) {
     Pick best;
+    const std::span<const memsim::BankState> banks = session.banks(ch.index);
     // use_tokens skips candidates whose tenant bucket is empty (a
     // tenant the channel has not seen yet has an untouched full
     // bucket); use_starvation boosts candidates whose tenant endured
@@ -285,8 +267,8 @@ struct Controller::Impl {
         p.valid = true;
         p.from_writes = from_writes;
         p.index = i;
-        p.issue_ps = ready_time(ch, tx);
-        p.hit_rank = prefer_hits && open_hit(ch, tx) ? 0 : 1;
+        p.issue_ps = ready_time(banks, tx);
+        p.hit_rank = prefer_hits && open_hit(banks, tx) ? 0 : 1;
         if (use_starvation) {
           p.tenant_rank =
               tenant < ch.starved.size() &&
@@ -421,26 +403,11 @@ struct Controller::Impl {
 
     const std::uint64_t issue_ps = std::max(ready_ps, ch.last_issue);
     ch.last_issue = issue_ps;
-    const memsim::FeedResult result = session.feed_issued(tx.request, issue_ps);
+    const std::uint64_t completion_ps =
+        session.feed_issued(tx.request, issue_ps);
     ch.queue_delay_ns.add(
         static_cast<double>(issue_ps - tx.request.arrival_ps) * 1e-3);
-    ch.service_ns.add(
-        static_cast<double>(result.completion_ps - issue_ps) * 1e-3);
-
-    // Mirror commit — the same rule the replay engine applies.
-    const auto& t = system.model().timing;
-    if (t.line_striped_across_banks) {
-      for (std::size_t b = 0; b < ch.bank_free.size(); ++b) {
-        ch.bank_free[b] = result.bank_busy_until_ps;
-        ch.open_row[b] = tx.placement.row;
-        ch.open_region[b] = tx.placement.region;
-      }
-    } else {
-      const auto b = static_cast<std::size_t>(tx.placement.bank);
-      ch.bank_free[b] = result.bank_busy_until_ps;
-      ch.open_row[b] = tx.placement.row;
-      ch.open_region[b] = tx.placement.region;
-    }
+    ch.service_ns.add(static_cast<double>(completion_ps - issue_ps) * 1e-3);
 
     if (from_writes && ch.draining) {
       ++ch.drained_writes;
@@ -465,7 +432,7 @@ struct Controller::Impl {
   /// per-channel issue subsequence (and every statistic) is the same
   /// however arrivals on *other* channels interleave the calls — the
   /// invariant the sharded engine's bit-identity rests on. Per-channel
-  /// issue instants only move forward (bank mirrors monotonically
+  /// issue instants only move forward (bank free times monotonically
   /// advance, overflow admits at the freeing issue), so the session's
   /// per-channel issue-sorted contract holds.
   void advance_until(std::uint64_t limit) {
@@ -486,23 +453,18 @@ struct Controller::Impl {
   }
 
   void feed(const memsim::Request& req) {
-    if (admitted == 0) {
-      first_arrival = req.arrival_ps;
-    } else {
-      memsim::check_arrival_order(admitted, prev_arrival, req.arrival_ps);
-    }
+    memsim::check_arrival_order(admitted, prev_arrival, req.arrival_ps);
     prev_arrival = req.arrival_ps;
     ++admitted;
 
     // Bring the controller up to this arrival instant.
     advance_until(req.arrival_ps);
 
-    const auto& t = system.model().timing;
     QueuedTx tx;
     tx.seq = next_seq++;
     tx.request = req;
     tx.admit_ps = req.arrival_ps;
-    tx.placement = memsim::place_request(t, req);
+    tx.placement = memsim::place_request(timing, req);
 
     auto& ch = channels[static_cast<std::size_t>(tx.placement.channel)];
     const bool is_write = req.op == memsim::Op::kWrite;
@@ -590,12 +552,6 @@ void Controller::feed(const memsim::Request& request) {
   impl_->feed(request);
 }
 
-std::uint64_t Controller::fed() const { return impl_->admitted; }
-
-std::uint64_t Controller::first_arrival_ps() const {
-  return impl_->first_arrival;
-}
-
 memsim::SimStats Controller::finish() {
   if (impl_->finished) {
     throw std::logic_error("sched::Controller: finish() called twice");
@@ -622,15 +578,15 @@ ScheduledSystem::ScheduledSystem(memsim::DeviceModel model,
 memsim::SimStats ScheduledSystem::run(memsim::RequestSource& source,
                                       const std::string& workload_name) const {
   telemetry::Recorder* recorder = telemetry_stage(system_.model().timing);
-  std::vector<std::unique_ptr<memsim::ShardLane>> lanes;
-  const int channels = system_.model().timing.channels;
-  lanes.reserve(static_cast<std::size_t>(channels));
-  for (int c = 0; c < channels; ++c) {
-    lanes.push_back(std::make_unique<ControllerLane>(system_, config_,
-                                                     workload_name, recorder));
-  }
-  return memsim::run_sharded(system_, std::move(lanes), run_threads_, source,
-                             profiler());
+  std::vector<memsim::LaneTier> tiers;
+  tiers.push_back(memsim::make_tier(system_, [&] {
+    return std::make_unique<Controller>(system_, config_, workload_name,
+                                        recorder);
+  }));
+  std::vector<memsim::ReplaySlice> slices = memsim::run_sharded(
+      std::move(tiers), run_threads_, source, profiler(), "",
+      [](const memsim::Request& request, auto& emit) { emit(0, request); });
+  return memsim::finalize_slice(std::move(slices.front()), system_.model());
 }
 
 }  // namespace comet::sched

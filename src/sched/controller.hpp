@@ -9,7 +9,6 @@
 #include "memsim/device.hpp"
 #include "memsim/engine.hpp"
 #include "memsim/request.hpp"
-#include "memsim/sharded.hpp"
 #include "memsim/stats.hpp"
 #include "memsim/system.hpp"
 
@@ -134,15 +133,17 @@ struct ControllerConfig {
 };
 
 /// Push-mode scheduled replay against one MemorySystem — the
-/// ReplaySession of the scheduler world, and the stage composite
-/// engines route streams through (hybrid::TieredSystem feeds its
-/// backend miss stream here). feed() admits demand requests in arrival
-/// order; the controller queues, reorders and issues them into an
-/// internal ReplaySession (in issue order, via feed_issued), and
-/// finish() drains every queue and returns the statistics with the
-/// scheduler breakdown filled in. The MemorySystem must outlive the
-/// controller.
-class Controller {
+/// ReplaySession of the scheduler world. feed() admits demand requests
+/// in arrival order; the controller queues, reorders and issues them
+/// into an internal ReplaySession (in issue order, via feed_issued),
+/// arbitrating on that session's bank state, and finish() drains every
+/// queue and returns the statistics with the scheduler breakdown filled
+/// in. As a ShardLane it is the per-channel lane of a sharded scheduled
+/// replay: fed only one channel's subsequence, it reproduces the full
+/// controller's per-channel behaviour decision for decision, because
+/// scheduling decisions, issue clocks and every scheduler statistic are
+/// channel-local. The MemorySystem must outlive the controller.
+class Controller final : public memsim::ShardLane {
  public:
   /// Validates the config. `telemetry`, when non-null, receives one
   /// RequestEvent per issued request plus the scheduler-side signal:
@@ -156,17 +157,11 @@ class Controller {
              telemetry::Recorder* telemetry = nullptr);
   Controller(Controller&&) noexcept;
   Controller& operator=(Controller&&) noexcept;
-  ~Controller();
+  ~Controller() override;
 
   /// Admits one demand request. Throws std::invalid_argument if it
   /// arrives before its predecessor, std::logic_error after finish().
-  void feed(const memsim::Request& request);
-
-  /// Number of demand requests admitted so far.
-  std::uint64_t fed() const;
-
-  /// Arrival time of the first admitted request (0 before any feed).
-  std::uint64_t first_arrival_ps() const;
+  void feed(const memsim::Request& request) override;
 
   /// Drains every queue, closes the run and returns the statistics.
   /// May be called once; throws std::logic_error on a second call.
@@ -177,58 +172,31 @@ class Controller {
   /// scheduler breakdown merged in (per-channel accumulators, channel
   /// order — the same reduction a sharded merge performs). Same
   /// once-only contract as finish().
-  memsim::ReplaySlice finish_slice();
+  memsim::ReplaySlice finish_slice() override;
 
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
 
-/// Shard-lane adapter over a Controller, for sharded scheduled replay:
-/// one full controller per channel lane, fed only that channel's
-/// subsequence. Scheduling decisions, issue clocks and every scheduler
-/// statistic are channel-local, so the lane reproduces the serial
-/// controller's per-channel behaviour decision for decision.
-class ControllerLane final : public memsim::ShardLane {
- public:
-  ControllerLane(const memsim::MemorySystem& system, ControllerConfig config,
-                 std::string workload_name,
-                 telemetry::Recorder* telemetry = nullptr)
-      : controller_(system, config, std::move(workload_name), telemetry) {}
-
-  void feed(const memsim::Request& request) override {
-    controller_.feed(request);
-  }
-  memsim::ReplaySlice finish_slice() override {
-    return controller_.finish_slice();
-  }
-
- private:
-  Controller controller_;
-};
-
 /// Engine adapter: a flat MemorySystem behind a Controller front-end.
 /// Const and stateless across runs like every Engine — the controllers
-/// live on the stack of each run() call. Every run replays through one
-/// ControllerLane per channel (memsim::run_sharded): run_threads > 1
-/// spreads the lanes over a worker pool, run_threads <= 1 feeds them
-/// inline on the caller's thread, so a profiled run always reports a
-/// pool (threads 0 when inline) and a "shard_merge" stage, as a hybrid
-/// run does. Results are bit-identical for any thread count and to one
-/// Controller driven over the whole stream (the test gates in
-/// tests/test_sharded.cpp cover every policy). Unlike flat direct
-/// replay, which is always serial, controller work per request is
-/// heavy enough for sharding to pay.
+/// live on the stack of each run() call. Every run replays one tier of
+/// per-channel Controller lanes through memsim::run_sharded behind an
+/// identity route: run_threads > 1 spreads the lanes over a worker
+/// pool, run_threads <= 1 feeds them inline on the caller's thread, so
+/// a profiled run always reports one pool "" (threads 0 when inline)
+/// and a "shard_merge" stage, as a hybrid run does. Results are
+/// bit-identical for any thread count and to one Controller driven over
+/// the whole stream (the test gates in tests/test_sharded.cpp cover
+/// every policy). Unlike flat direct replay, which is always serial,
+/// controller work per request is heavy enough for sharding to pay.
 class ScheduledSystem final : public memsim::Engine {
  public:
   /// Validates both the model and the controller config; `run_threads`
   /// as in memsim::resolve_run_threads.
   ScheduledSystem(memsim::DeviceModel model, ControllerConfig config,
                   int run_threads = 1);
-
-  const memsim::MemorySystem& system() const { return system_; }
-  const ControllerConfig& config() const { return config_; }
-  int run_threads() const { return run_threads_; }
 
   using Engine::run;
 

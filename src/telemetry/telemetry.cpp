@@ -44,8 +44,10 @@ Recorder::Recorder(const TelemetrySpec& spec, std::string name, int channels,
   for (std::size_t c = 0; c < lanes_.size(); ++c) {
     LaneTelemetry& lane = lanes_[c];
     lane.bank_requests.assign(static_cast<std::size_t>(banks), 0);
-    if (trace_ && event_budget > 0) {
-      lane.event_cap = event_budget / n + (c < event_budget % n ? 1 : 0);
+    if (trace_) {
+      lane.event_cap = event_budget == kUnlimitedEvents
+                           ? kUnlimitedEvents
+                           : event_budget / n + (c < event_budget % n ? 1 : 0);
     }
   }
 }
@@ -54,7 +56,7 @@ void Recorder::record_request(int channel, const RequestEvent& event) {
   LaneTelemetry& lane = lanes_[static_cast<std::size_t>(channel)];
   lane.bank_requests[event.bank] += 1;
   if (trace_) {
-    if (lane.event_cap == 0 || lane.events.size() < lane.event_cap) {
+    if (lane.events.size() < lane.event_cap) {
       lane.events.push_back(event);
     } else {
       ++lane.dropped_events;
@@ -88,7 +90,7 @@ void Recorder::record_queue_sample(int channel, std::uint64_t at_ps,
 void Recorder::record_mark(int channel, MarkKind kind, std::uint64_t at_ps) {
   LaneTelemetry& lane = lanes_[static_cast<std::size_t>(channel)];
   if (trace_) {
-    if (lane.event_cap == 0 || lane.marks.size() < lane.event_cap) {
+    if (lane.marks.size() < lane.event_cap) {
       lane.marks.push_back(Mark{kind, at_ps});
     } else {
       ++lane.dropped_marks;

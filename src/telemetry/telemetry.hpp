@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -34,6 +35,10 @@
 /// 15% gate keeps that honest.
 namespace comet::telemetry {
 
+/// An event budget with no cap (what a trace_limit of 0 asks for).
+inline constexpr std::uint64_t kUnlimitedEvents =
+    std::numeric_limits<std::uint64_t>::max();
+
 /// What a run should record; the [telemetry] config section and the
 /// --trace-out/--trace-limit/--metrics-interval/--metrics-csv flags
 /// both build one of these.
@@ -43,7 +48,8 @@ struct TelemetrySpec {
   /// Cap on recorded request events per job, split over stages and
   /// channels (0 = unlimited). Requests past a lane's share are counted
   /// but not stored, and the trace carries an explicit truncation
-  /// record.
+  /// record. Only the job-wide 0 means unlimited: a stage or lane whose
+  /// share of a positive cap rounds to 0 stores nothing.
   std::uint64_t trace_limit = 1'000'000;
 
   /// Epoch length of the metrics time-series; 0 disables sampling.
@@ -54,6 +60,11 @@ struct TelemetrySpec {
   bool tracing() const { return !trace_path.empty(); }
   bool sampling() const { return metrics_interval_ps > 0; }
   bool enabled() const { return tracing() || sampling(); }
+
+  /// trace_limit as an event budget: kUnlimitedEvents for 0.
+  std::uint64_t event_budget() const {
+    return trace_limit == 0 ? kUnlimitedEvents : trace_limit;
+  }
 
   /// Throws std::invalid_argument on a CSV path without a sampling
   /// interval (there would be no timeline to write).
@@ -115,7 +126,7 @@ struct EpochAccum {
 struct LaneTelemetry {
   std::vector<RequestEvent> events;
   std::vector<Mark> marks;
-  std::uint64_t event_cap = 0;  ///< 0 = unlimited.
+  std::uint64_t event_cap = 0;  ///< kUnlimitedEvents = no cap.
   std::uint64_t dropped_events = 0;
   std::uint64_t dropped_marks = 0;
   std::vector<std::uint64_t> bank_requests;  ///< Heatmap: per-bank totals.
@@ -203,8 +214,10 @@ class Collector {
 
   /// Registers one engine stage and returns its recording surface
   /// (owned by the Collector, valid for its lifetime). `event_budget`
-  /// is this stage's share of the spec's trace_limit (0 = unlimited),
-  /// spread over the channels so the per-lane caps sum to it exactly.
+  /// is this stage's share of the spec's event_budget()
+  /// (kUnlimitedEvents = no cap), spread over the channels so the
+  /// per-lane caps sum to it exactly; a lane whose cap is 0 stores no
+  /// events but still counts its drops.
   Recorder* add_stage(std::string name, int channels, int banks,
                       std::uint64_t event_budget);
 

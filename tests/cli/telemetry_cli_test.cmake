@@ -11,8 +11,8 @@
 # request counts sum to the run's reads+writes, while the same run
 # without telemetry flags produces bit-identical results. Plus the
 # truncation record under --trace-limit, the timeline CSV, the
-# [telemetry] --dump-config round-trip, --list-policies, and the
-# flag-dependency diagnostics.
+# [telemetry] --dump-config round-trip, --list-policies, the
+# flag-dependency diagnostics, and the two-stage hybrid stack.
 
 if(NOT DEFINED COMET_SIM OR NOT DEFINED WORK_DIR OR NOT DEFINED PYTHON
    OR NOT DEFINED VALIDATOR)
@@ -166,5 +166,58 @@ execute_process(
   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
 expect_rc("--metrics-csv without --metrics-interval" "${rc}" 2)
 expect_contains("--metrics-csv diagnostic" "${err}" "--metrics-interval")
+
+# --- 9. The hybrid stack: a scheduled hybrid run, traced and sampled,
+# ---    registers one telemetry stage per tier, writes a valid trace
+# ---    and a timeline that reconciles with its per-channel counts, and
+# ---    matches the untraced run once the telemetry fields are deleted.
+set(hybrid_flags --device hybrid-comet --workload lbm_like --requests 5000
+    --schedule read-first --read-q 16 --write-q 16)
+execute_process(
+  COMMAND ${COMET_SIM} ${hybrid_flags}
+          --trace-out ${WORK_DIR}/hybrid_trace.json --metrics-interval 1000
+          --metrics-csv ${WORK_DIR}/hybrid_timeline.csv
+          --json ${WORK_DIR}/hybrid_traced.json
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+expect_rc("hybrid traced run" "${rc}" 0)
+execute_process(
+  COMMAND ${PYTHON} ${VALIDATOR} ${WORK_DIR}/hybrid_trace.json
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+expect_rc("validate hybrid trace" "${rc}" 0)
+execute_process(
+  COMMAND ${COMET_SIM} ${hybrid_flags} --json ${WORK_DIR}/hybrid_untraced.json
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+expect_rc("hybrid untraced run" "${rc}" 0)
+execute_process(
+  COMMAND ${PYTHON} -c "
+import json, os, sys
+traced_path, untraced_path, trace_path, csv_path = sys.argv[1:5]
+record = json.load(open(traced_path))['results'][0]
+stages = [stage['stage'] for stage in record['telemetry']['stages']]
+assert stages == ['dram', 'backend'], stages
+timeline = record['timeline']
+assert timeline, 'timeline is empty'
+total = sum(p['reads'] + p['writes'] for p in timeline)
+channels = sum(sum(p['channel_requests']) for p in timeline)
+assert total == channels, f'timeline sums to {total}, channels to {channels}'
+assert record['trace_out'] == trace_path, record['trace_out']
+assert record['metrics_interval_ns'] == 1000, record['metrics_interval_ns']
+assert os.path.getsize(csv_path) > 0, 'empty timeline CSV'
+telemetry_keys = ('trace_out', 'trace_limit', 'metrics_interval_ns',
+                  'metrics_csv', 'telemetry', 'timeline')
+def strip(path):
+    report = json.load(open(path))
+    for result in report['results']:
+        for key in telemetry_keys:
+            del result[key]
+    return report
+assert strip(traced_path) == strip(untraced_path), 'results diverged'
+print('hybrid telemetry OK:', len(timeline), 'epochs,', total, 'requests')
+" ${WORK_DIR}/hybrid_traced.json ${WORK_DIR}/hybrid_untraced.json
+  ${WORK_DIR}/hybrid_trace.json ${WORK_DIR}/hybrid_timeline.csv
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "hybrid telemetry checks failed:\n${out}\n${err}")
+endif()
 
 message(STATUS "telemetry CLI checks passed")

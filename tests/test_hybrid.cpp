@@ -222,7 +222,8 @@ TEST(TieredSystem, DirtyEvictionsReachTheBackendAsWrites) {
 TEST(TieredSystem, WriteNoAllocateSendsMissesStraightDown) {
   auto cache = small_cache(1 << 10, 1, 1024);
   cache.write_allocate = false;
-  const hy::TieredSystem sys(tiered_config(cache));
+  const hy::TieredConfig config = tiered_config(cache);
+  const hy::TieredSystem sys(config);
   std::vector<ms::Request> reqs;
   for (int i = 0; i < 8; ++i) {
     reqs.push_back(
@@ -238,7 +239,7 @@ TEST(TieredSystem, WriteNoAllocateSendsMissesStraightDown) {
   // the whole demand span, not over its (empty) sub-stream span.
   EXPECT_GT(stats.combined.dram_tier_energy_pj, 0.0);
   EXPECT_NEAR(stats.dram.background_energy_pj,
-              sys.config().dram.energy.background_power_w *
+              config.dram.energy.background_power_w *
                   double(stats.combined.span_ps),
               1e-9);
 }

@@ -92,7 +92,7 @@ TEST(Trace, RejectsNonMonotonicCyclesWithDiagnostic) {
     ms::read_trace(in, ms::TraceConfig{});
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
-    // Same diagnostic style as require_sorted_by_arrival: the offending
+    // Same diagnostic style as check_arrival_order: the offending
     // position and both out-of-order values.
     const std::string msg = e.what();
     EXPECT_NE(msg.find("non-monotonic"), std::string::npos) << msg;

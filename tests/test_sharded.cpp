@@ -15,6 +15,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "config/device_spec.hpp"
@@ -169,21 +170,36 @@ TEST(ShardedBitIdentity, ScheduledSystemMatchesOneControllerOverTheStream) {
 // --------------------------------------------------------- contracts
 
 TEST(ShardedContract, UnsortedStreamThrowsWithSerialDiagnostics) {
-  const sc::ScheduledSystem sharded(
-      dr::make_device("comet"),
-      sc::ControllerConfig::with_depths(sc::Policy::kFrFcfs, 8, 8), 2);
-  std::vector<ms::Request> requests = {
+  // memsim::pump checks every engine's stream: scheduled, flat, and
+  // hybrid both direct and behind a backend controller, inline and on
+  // a worker pool.
+  const std::vector<ms::Request> requests = {
       ms::Request{.id = 0, .arrival_ps = 100, .op = ms::Op::kRead,
                   .address = 0, .size_bytes = 64},
       ms::Request{.id = 1, .arrival_ps = 50, .op = ms::Op::kRead,
                   .address = 4096, .size_bytes = 64},
   };
-  try {
-    sharded.run(requests, "unsorted");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("index 1"), std::string::npos)
-        << e.what();
+  const auto frfcfs =
+      sc::ControllerConfig::with_depths(sc::Policy::kFrFcfs, 8, 8);
+  const std::vector<std::pair<std::string, std::optional<sc::ControllerConfig>>>
+      engines = {{"comet", frfcfs},
+                 {"comet", std::nullopt},
+                 {"hybrid-comet", std::nullopt},
+                 {"hybrid-comet", frfcfs}};
+  for (const auto& [token, controller] : engines) {
+    for (const int threads : {1, 2}) {
+      const std::string label = token + "/" + axis_name(controller) + "/t" +
+                                std::to_string(threads);
+      const auto engine =
+          dr::make_device_spec(token).make_engine(controller, threads);
+      try {
+        engine->run(requests, "unsorted");
+        ADD_FAILURE() << label << ": expected std::invalid_argument";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("index 1"), std::string::npos)
+            << label << ": " << e.what();
+      }
+    }
   }
 }
 
@@ -196,12 +212,16 @@ TEST(ShardedContract, ResolveRunThreads) {
 
 TEST(ShardedContract, RunShardedRejectsLaneCountMismatch) {
   const ms::MemorySystem system(dr::make_device("comet"));  // 8 channels
-  std::vector<std::unique_ptr<ms::ShardLane>> lanes;
-  lanes.push_back(std::make_unique<ms::SessionLane>(system, "w"));
+  std::vector<ms::LaneTier> tiers;
+  tiers.push_back(ms::LaneTier{system, {}});
+  tiers.back().lanes.push_back(
+      std::make_unique<ms::ReplaySession>(system, "w"));
   ms::VectorSource source(shared_trace());
-  EXPECT_THROW(
-      ms::run_sharded(system, std::move(lanes), 2, source),
-      std::invalid_argument);
+  EXPECT_THROW(ms::run_sharded(std::move(tiers), 2, source, nullptr, "",
+                               [](const ms::Request& request, auto& emit) {
+                                 emit(0, request);
+                               }),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------------ lane pool

@@ -20,6 +20,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "config/device_spec.hpp"
@@ -377,30 +378,41 @@ TEST(TelemetryTimeline, HybridRunsRecordPerTierStages) {
 // --------------------------------------------------------- truncation
 
 TEST(TelemetryTruncation, EventCapsAreHonoredAndDropsCounted) {
-  tl::TelemetrySpec spec;
-  spec.trace_path = "t.json";
-  spec.trace_limit = 64;
-  tl::Collector collector(spec);
-  const ms::SimStats stats = run_device(dr::make_device_spec("comet"),
-                                        std::nullopt, 1, &collector);
-  EXPECT_LE(collector.recorded_events(), 64u);
-  EXPECT_GT(collector.dropped_events(), 0u);
-  EXPECT_TRUE(collector.truncated());
-  // Nothing is lost from the accounting: stored + dropped covers every
-  // request the run served, and the heatmap counts them all regardless
-  // of the trace cap.
-  std::uint64_t stored = 0, dropped = 0, heatmap = 0;
-  for (const auto& stage : collector.stages()) {
-    for (int c = 0; c < stage->channels(); ++c) {
-      const tl::LaneTelemetry& lane = stage->lane(c);
-      EXPECT_LE(lane.events.size(), lane.event_cap);
-      stored += lane.events.size();
-      dropped += lane.dropped_events;
-      for (const auto count : lane.bank_requests) heatmap += count;
+  // A cap of 4 leaves half of COMET's 8 lanes a share of 0, and a cap of
+  // 1 leaves the hybrid DRAM stage none: such lanes store nothing (only
+  // a trace_limit of 0 means unlimited) but still count their drops.
+  const std::vector<std::pair<std::string, std::uint64_t>> inputs = {
+      {"comet", 64}, {"comet", 4}, {"hybrid-comet", 1}};
+  for (const auto& [token, limit] : inputs) {
+    const std::string label = token + "@" + std::to_string(limit);
+    tl::TelemetrySpec spec;
+    spec.trace_path = "t.json";
+    spec.trace_limit = limit;
+    tl::Collector collector(spec);
+    const dr::DeviceSpec device = dr::make_device_spec(token);
+    const ms::SimStats stats = run_device(device, std::nullopt, 1, &collector);
+    EXPECT_LE(collector.recorded_events(), limit) << label;
+    EXPECT_GT(collector.dropped_events(), 0u) << label;
+    EXPECT_TRUE(collector.truncated()) << label;
+    // Nothing is lost from the accounting: stored + dropped covers every
+    // request the run served, and the heatmap counts them all regardless
+    // of the trace cap. A hybrid run's tiers also serve the fills and
+    // writebacks the demand stream caused.
+    std::uint64_t stored = 0, dropped = 0, heatmap = 0;
+    for (const auto& stage : collector.stages()) {
+      for (int c = 0; c < stage->channels(); ++c) {
+        const tl::LaneTelemetry& lane = stage->lane(c);
+        EXPECT_LE(lane.events.size(), lane.event_cap) << label;
+        stored += lane.events.size();
+        dropped += lane.dropped_events;
+        for (const auto count : lane.bank_requests) heatmap += count;
+      }
+    }
+    EXPECT_EQ(stored + dropped, heatmap) << label;
+    if (!device.tiered) {
+      EXPECT_EQ(heatmap, stats.reads + stats.writes) << label;
     }
   }
-  EXPECT_EQ(stored + dropped, stats.reads + stats.writes);
-  EXPECT_EQ(heatmap, stats.reads + stats.writes);
 }
 
 TEST(TelemetryTruncation, LaneCapsSumToStageBudget) {
