@@ -496,31 +496,17 @@ memsim::WorkloadProfile parse_workload(const toml::Table& table,
   return profile;
 }
 
-namespace {
-
-/// The [controller] knobs only one policy reads; every policy reads the
-/// queue depths.
-struct PolicyKnob {
-  const char* key;
-  sched::Policy reader;
-};
-constexpr PolicyKnob kPolicyKnobs[] = {
-    {"drain_high_watermark", sched::Policy::kReadFirst},
-    {"drain_low_watermark", sched::Policy::kReadFirst},
-    {"tenant_tokens", sched::Policy::kTokenBudget},
-    {"starvation_cap", sched::Policy::kFrFcfsCap},
-};
-
-}  // namespace
-
 bool policies_read(const std::vector<sched::Policy>& policies,
                    std::string_view key) {
-  for (const PolicyKnob& knob : kPolicyKnobs) {
-    if (knob.key == key) {
-      return std::ranges::find(policies, knob.reader) != policies.end();
+  bool policy_specific = false;
+  for (const sched::PolicyInfo& info : sched::known_policies()) {
+    if (std::ranges::find(info.knobs, key) == info.knobs.end()) continue;
+    if (std::ranges::find(policies, info.policy) != policies.end()) {
+      return true;
     }
+    policy_specific = true;
   }
-  return true;
+  return !policy_specific;
 }
 
 void parse_controller_section(const toml::Table& table,
@@ -560,12 +546,14 @@ void parse_controller_section(const toml::Table& table,
   }
   config.policy = policies.front();
   // A knob no policy on the axis reads would be silently ignored.
-  for (const PolicyKnob& knob : kPolicyKnobs) {
-    if (reader.has(knob.key) && !policies_read(policies, knob.key)) {
-      reader.fail_at(reader.key_line(knob.key),
-                     std::string("'") + knob.key + "' is read by policy " +
-                         sched::policy_name(knob.reader) +
-                         " only, and the policy axis does not include it");
+  for (const sched::PolicyInfo& info : sched::known_policies()) {
+    for (const char* key : info.knobs) {
+      if (reader.has(key) && !policies_read(policies, key)) {
+        reader.fail_at(reader.key_line(key),
+                       std::string("'") + key + "' is read by policy " +
+                           info.name +
+                           " only, and the policy axis does not include it");
+      }
     }
   }
   read_fields(reader, config);

@@ -179,9 +179,10 @@ memsim::WorkloadProfile parse_workload(const toml::Table& table,
                                        const std::string& source);
 
 /// True when some policy of `policies` reads [controller] knob `key`:
-/// the drain watermarks belong to read-first, `tenant_tokens` to
-/// token-budget, `starvation_cap` to frfcfs-cap, and every policy reads
-/// the queue depths.
+/// a key some sched::PolicyInfo lists in `knobs` belongs to that policy
+/// (the drain watermarks to read-first, `tenant_tokens` to token-budget,
+/// `starvation_cap` to frfcfs-cap); every policy reads the others (the
+/// queue depths).
 bool policies_read(const std::vector<sched::Policy>& policies,
                    std::string_view key);
 

@@ -65,12 +65,8 @@ double CometPowerModel::eo_tuning_power_w() const {
 }
 
 double CometPowerModel::interface_power_w() const {
-  // Per-wavelength modulator driver + receiver (TIA) at the electrical
-  // interface, plus the fixed controller-side electronics (LUT lookups
-  // are explicitly excluded by the paper as controller-side overhead).
-  constexpr double kPerWavelengthMw = 10.0;
-  constexpr double kControllerW = 0.5;
-  return config_.wavelengths() * kPerWavelengthMw * 1e-3 + kControllerW;
+  return config_.wavelengths() * kInterfacePerWavelengthMw * 1e-3 +
+         kInterfaceControllerW;
 }
 
 PowerBreakdown CometPowerModel::breakdown() const {

@@ -27,6 +27,13 @@
 /// which is why COMET-4b is the chosen design point.
 namespace comet::core {
 
+/// Interface electronics, shared with the COSMOS power model: the
+/// per-wavelength modulator driver + receiver (TIA) power, and the fixed
+/// controller-side electronics (LUT lookups are explicitly excluded by
+/// the paper as controller-side overhead).
+inline constexpr double kInterfacePerWavelengthMw = 10.0;
+inline constexpr double kInterfaceControllerW = 0.5;
+
 /// One named component of a power stack [W].
 struct PowerComponent {
   std::string name;

@@ -44,11 +44,9 @@ double CosmosPowerModel::soa_power_w() const {
 double CosmosPowerModel::interface_power_w() const {
   // Same per-wavelength interface electronics as COMET, plus the
   // subtract-and-correct readout logic.
-  constexpr double kPerWavelengthMw = 10.0;
-  constexpr double kControllerW = 0.5;
   constexpr double kSubtractLogicW = 1.5;
-  return config_.wavelengths() * kPerWavelengthMw * 1e-3 + kControllerW +
-         kSubtractLogicW;
+  return config_.wavelengths() * core::kInterfacePerWavelengthMw * 1e-3 +
+         core::kInterfaceControllerW + kSubtractLogicW;
 }
 
 core::PowerBreakdown CosmosPowerModel::breakdown() const {

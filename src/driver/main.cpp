@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "config/experiment.hpp"
+#include "config/fields.hpp"
+#include "config/serialize.hpp"
 #include "driver/options.hpp"
 #include "driver/registry.hpp"
 #include "driver/report.hpp"
@@ -48,8 +50,15 @@ int main(int argc, char** argv) {
   }
   if (options.list_policies) {
     for (const auto& info : comet::sched::known_policies()) {
-      std::cout << info.name << "\n  " << info.summary << "\n  knobs: "
-                << info.knobs << "\n";
+      std::cout << info.name << "\n  " << info.summary << "\n  knobs:";
+      const char* sep = " ";
+      for (const auto& field :
+           comet::config::Schema<comet::sched::ControllerConfig>::fields) {
+        if (!comet::config::policies_read({info.policy}, field.key)) continue;
+        std::cout << sep << field.key;
+        sep = ", ";
+      }
+      std::cout << "\n";
     }
     return 0;
   }

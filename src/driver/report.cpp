@@ -1,10 +1,13 @@
 #include "driver/report.hpp"
 
+#include <array>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <variant>
 
+#include "sched/controller.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
 
@@ -41,12 +44,24 @@ void print_report(std::ostream& os, const std::vector<SweepJob>& jobs,
 
   Table per_run({"device", "workload", "BW (GB/s)", "EPB (pJ/bit)",
                  "read lat (ns)", "write lat (ns)", "queue (ns)"});
+  // One summary row per matrix cell minus the workload axis: the device
+  // name, then its policy, channel count, request count and seed as the
+  // row label spells them.
+  using Cell = std::array<std::string, 5>;
+  const auto cell_of = [](const SweepJob& job) {
+    return Cell{job.device.name,
+                job.controller ? sched::policy_name(job.controller->policy)
+                               : "",
+                std::to_string(job.device.channels()) + " ch",
+                std::to_string(job.requests) + " req",
+                "seed " + std::to_string(job.seed)};
+  };
   struct Agg {
     double bw = 0.0, epb = 0.0, latency = 0.0;
     int n = 0;
   };
-  std::map<std::string, Agg> per_device;
-  std::vector<std::string> device_order;
+  std::map<Cell, Agg> per_cell;
+  std::vector<Cell> cell_order;
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const auto& stats = results[i];
@@ -56,10 +71,9 @@ void print_report(std::ostream& os, const std::vector<SweepJob>& jobs,
                      Table::num(stats.read_latency_ns.mean(), 1),
                      Table::num(stats.write_latency_ns.mean(), 1),
                      Table::num(stats.queue_delay_ns.mean(), 1)});
-    if (per_device.find(jobs[i].device.name) == per_device.end()) {
-      device_order.push_back(jobs[i].device.name);
-    }
-    auto& agg = per_device[jobs[i].device.name];
+    const Cell cell = cell_of(jobs[i]);
+    if (per_cell.find(cell) == per_cell.end()) cell_order.push_back(cell);
+    auto& agg = per_cell[cell];
     agg.bw += stats.bandwidth_gbps();
     agg.epb += stats.epb_pj_per_bit();
     agg.latency += stats.avg_latency_ns();
@@ -71,11 +85,26 @@ void print_report(std::ostream& os, const std::vector<SweepJob>& jobs,
 
   Table summary({"device", "avg BW (GB/s)", "avg EPB (pJ/bit)", "BW/EPB",
                  "avg latency (ns)"});
-  for (const auto& name : device_order) {
-    const auto& agg = per_device.at(name);
+  // A row names an axis only when some device takes several values of
+  // it, so sweeps without those axes keep the bare device label.
+  std::set<std::string> devices;
+  for (const auto& cell : cell_order) devices.insert(cell[0]);
+  std::vector<std::size_t> named_axes;
+  for (std::size_t axis = 1; axis < Cell{}.size(); ++axis) {
+    std::set<std::pair<std::string, std::string>> seen;
+    for (const auto& cell : cell_order) seen.emplace(cell[0], cell[axis]);
+    if (seen.size() > devices.size()) named_axes.push_back(axis);
+  }
+  for (const auto& cell : cell_order) {
+    std::string label = cell[0];
+    for (std::size_t i = 0; i < named_axes.size(); ++i) {
+      label += (i == 0 ? " (" : ", ") + cell[named_axes[i]];
+    }
+    if (!named_axes.empty()) label += ")";
+    const auto& agg = per_cell.at(cell);
     const double bw = agg.bw / agg.n;
     const double epb = agg.epb / agg.n;
-    summary.add_row({name, Table::num(bw, 2), Table::num(epb, 2),
+    summary.add_row({label, Table::num(bw, 2), Table::num(epb, 2),
                      Table::num(epb > 0 ? bw / epb : 0.0, 3),
                      Table::num(agg.latency / agg.n, 1)});
   }

@@ -11,7 +11,10 @@
 namespace comet::driver {
 
 /// Per-run table (one row per device × workload) followed by a per-device
-/// summary averaged over workloads — the Fig. 9 presentation. `csv`
+/// summary averaged over workloads — the Fig. 9 presentation. The summary
+/// keeps the other sweep axes apart: one row per device, channel count,
+/// policy, request count and seed, whose label names an axis only when a
+/// device takes several values of it (e.g. "comet (frfcfs)"). `csv`
 /// switches both tables to CSV.
 void print_report(std::ostream& os, const std::vector<SweepJob>& jobs,
                   const std::vector<memsim::SimStats>& results, bool csv);

@@ -4,16 +4,6 @@
 
 namespace comet::photonics {
 
-WaveguidePath::WaveguidePath(const LossParameters& losses) : losses_(losses) {}
-
-double WaveguidePath::path_loss_db(double length_cm, int bends_90deg) const {
-  if (length_cm < 0.0 || bends_90deg < 0) {
-    throw std::invalid_argument("WaveguidePath: negative path");
-  }
-  return length_cm * losses_.propagation_loss_db_per_cm +
-         bends_90deg * losses_.bending_loss_db_per_90deg;
-}
-
 MdmLink::MdmLink(int degree, double per_mode_excess_db)
     : degree_(degree), per_mode_excess_db_(per_mode_excess_db) {
   if (degree < 1 || per_mode_excess_db < 0.0) {

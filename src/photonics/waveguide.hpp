@@ -1,8 +1,6 @@
 #pragma once
 
-#include "photonics/losses.hpp"
-
-/// Waveguide routing-loss and mode-division-multiplexing (MDM) models.
+/// Mode-division-multiplexing (MDM) link model.
 ///
 /// COMET interleaves cache lines across B banks over a hybrid WDM+MDM
 /// link. Section III.C explains the MDM-degree tradeoff: higher-order
@@ -10,19 +8,6 @@
 /// caps the degree at 4 (achievable on chip "without notable losses or
 /// area overhead" [28]).
 namespace comet::photonics {
-
-/// Straight + bent routing path loss.
-class WaveguidePath {
- public:
-  explicit WaveguidePath(const LossParameters& losses);
-
-  /// Loss of a path with the given straight length [cm] and 90-degree
-  /// bend count.
-  double path_loss_db(double length_cm, int bends_90deg) const;
-
- private:
-  LossParameters losses_;
-};
 
 /// MDM link with per-mode excess loss.
 class MdmLink {

@@ -83,13 +83,14 @@ const char* policy_name(Policy policy);
 Policy policy_from_name(const std::string& name);
 
 /// One documentable scheduling policy: its CLI/TOML token, a one-line
-/// behavioural summary, and the ControllerConfig knobs that bind for
-/// it. What `comet_sim --list-policies` prints.
+/// behavioural summary, and the `[controller]` document keys only this
+/// policy reads (every policy reads the queue depths). What
+/// `comet_sim --list-policies` prints.
 struct PolicyInfo {
   Policy policy;
   const char* name;
   const char* summary;
-  const char* knobs;
+  std::vector<const char*> knobs;
 };
 
 /// Every policy the build knows, in token order. The single source of

@@ -1,45 +1,8 @@
 #include "util/interp.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace comet::util {
-
-LinearTable::LinearTable(std::vector<double> x, std::vector<double> y)
-    : x_(std::move(x)), y_(std::move(y)) {
-  if (x_.size() != y_.size()) {
-    throw std::invalid_argument("LinearTable: size mismatch");
-  }
-  if (x_.size() < 2) {
-    throw std::invalid_argument("LinearTable: need at least two points");
-  }
-  for (std::size_t i = 1; i < x_.size(); ++i) {
-    if (!(x_[i] > x_[i - 1])) {
-      throw std::invalid_argument("LinearTable: x must be strictly increasing");
-    }
-  }
-}
-
-double LinearTable::operator()(double x) const {
-  if (x <= x_.front()) return y_.front();
-  if (x >= x_.back()) return y_.back();
-  const auto it = std::upper_bound(x_.begin(), x_.end(), x);
-  const std::size_t i = static_cast<std::size_t>(it - x_.begin());
-  return lerp(x_[i - 1], y_[i - 1], x_[i], y_[i], x);
-}
-
-double LinearTable::inverse(double y_level) const {
-  for (std::size_t i = 1; i < x_.size(); ++i) {
-    const double ylo = y_[i - 1];
-    const double yhi = y_[i];
-    if ((ylo <= y_level && y_level <= yhi) ||
-        (yhi <= y_level && y_level <= ylo)) {
-      if (yhi == ylo) return x_[i - 1];
-      return lerp(ylo, x_[i - 1], yhi, x_[i], y_level);
-    }
-  }
-  return x_.back();
-}
 
 std::vector<double> linspace(double lo, double hi, std::size_t n) {
   if (n < 2) throw std::invalid_argument("linspace: need n >= 2");

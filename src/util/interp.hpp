@@ -1,61 +1,10 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
-#include <utility>
 #include <vector>
 
-/// Small numeric helpers: linear interpolation over tabulated data and a
-/// fixed-step RK4 integrator. These back the material dispersion tables and
-/// the transient thermal model.
+/// Evenly spaced sample grids for the benches' wavelength sweeps.
 namespace comet::util {
-
-/// A strictly-increasing (x, y) table with linear interpolation and flat
-/// extrapolation beyond the ends. Throws std::invalid_argument on
-/// construction if x is not strictly increasing or sizes mismatch.
-class LinearTable {
- public:
-  LinearTable(std::vector<double> x, std::vector<double> y);
-
-  /// Interpolated value at x (clamped to the table range).
-  double operator()(double x) const;
-
-  /// First x whose y crosses the given level going upward, or the last x if
-  /// never crossed. Requires a (weakly) monotone table for a meaningful
-  /// answer; used to invert latency/temperature curves.
-  double inverse(double y_level) const;
-
-  std::size_t size() const { return x_.size(); }
-  std::span<const double> xs() const { return x_; }
-  std::span<const double> ys() const { return y_; }
-
- private:
-  std::vector<double> x_;
-  std::vector<double> y_;
-};
-
-/// Scalar linear interpolation between two points.
-inline double lerp(double x0, double y0, double x1, double y1, double x) {
-  if (x1 == x0) return y0;
-  return y0 + (y1 - y0) * (x - x0) / (x1 - x0);
-}
-
-/// Classic fixed-step RK4 for dy/dt = f(t, y). Returns y(t0 + n*dt).
-/// `f` is any callable double(double t, double y).
-template <typename F>
-double rk4(F&& f, double y0, double t0, double dt, std::size_t steps) {
-  double y = y0;
-  double t = t0;
-  for (std::size_t i = 0; i < steps; ++i) {
-    const double k1 = f(t, y);
-    const double k2 = f(t + dt / 2, y + dt / 2 * k1);
-    const double k3 = f(t + dt / 2, y + dt / 2 * k2);
-    const double k4 = f(t + dt, y + dt * k3);
-    y += dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4);
-    t += dt;
-  }
-  return y;
-}
 
 /// Evenly spaced grid of n points covering [lo, hi] inclusive (n >= 2).
 std::vector<double> linspace(double lo, double hi, std::size_t n);

@@ -58,20 +58,7 @@ std::uint64_t Rng::next_below(std::uint64_t bound) {
 #endif
 }
 
-std::int64_t Rng::next_in(std::int64_t lo, std::int64_t hi) {
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(next_below(span));
-}
-
 bool Rng::next_bool(double p) { return next_double() < p; }
-
-double Rng::next_gaussian() {
-  double u1 = next_double();
-  const double u2 = next_double();
-  if (u1 <= 0.0) u1 = 0x1.0p-53;
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  return r * std::cos(2.0 * 3.14159265358979323846 * u2);
-}
 
 double Rng::next_exponential(double mean) {
   double u = next_double();

@@ -26,14 +26,8 @@ class Rng {
   /// Uniform integer in [0, bound). bound must be > 0.
   std::uint64_t next_below(std::uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  std::int64_t next_in(std::int64_t lo, std::int64_t hi);
-
   /// True with probability p (clamped to [0, 1]).
   bool next_bool(double p);
-
-  /// Standard normal deviate (Box–Muller; consumes two uniforms).
-  double next_gaussian();
 
   /// Exponential deviate with the given mean (> 0).
   double next_exponential(double mean);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace comet::util {
 
@@ -93,55 +92,5 @@ double RunningStats::variance() const {
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  if (!(hi > lo) || buckets == 0) {
-    throw std::invalid_argument("Histogram: bad range or bucket count");
-  }
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto i = static_cast<std::size_t>((x - lo_) / width);
-  if (i >= counts_.size()) i = counts_.size() - 1;
-  ++counts_[i];
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double Histogram::bucket_hi(std::size_t i) const {
-  return bucket_lo(i + 1);
-}
-
-double Histogram::percentile(double p) const {
-  if (total_ == 0) return lo_;
-  if (p <= 0.0) return lo_;
-  if (p >= 1.0) return hi_;
-  const double target = p * static_cast<double>(total_);
-  double cum = static_cast<double>(underflow_);
-  if (cum >= target) return lo_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target && counts_[i] > 0) {
-      const double frac = (target - cum) / static_cast<double>(counts_[i]);
-      return bucket_lo(i) + frac * (bucket_hi(i) - bucket_lo(i));
-    }
-    cum = next;
-  }
-  return hi_;
-}
 
 }  // namespace comet::util

@@ -7,8 +7,11 @@
 # Covers: exit codes (held -> 0, violated -> 3 after the JSON is written
 # and with "SLO violation" on stderr, malformed -> 2 naming the metric),
 # the record's slo.pass verdict, the [profile]/[slo] --dump-config round
-# trip, and legacy SLO names gating exactly like the report keys they
-# alias. JSON is read with CMake's string(JSON).
+# trip, legacy SLO names gating exactly like the report keys they alias,
+# and the host-observability smoke: the --profile host object, null
+# host/slo when unprofiled, profiled == unprofiled once those are
+# removed, and the progress heartbeat of a threaded sweep going to
+# stderr only. JSON is read with CMake's string(JSON).
 
 if(NOT DEFINED COMET_SIM OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR "pass -DCOMET_SIM=... and -DWORK_DIR=...")
@@ -112,3 +115,52 @@ string(JSON p99 GET "${keyed_json}" results 0 p99_read_latency_ns)
 expect_eq("gated value is the report's" "${value}" "${p99}")
 string(JSON applicable GET "${keyed_json}" results 0 slo checks 2 applicable)
 expect_eq("single-stream tenants.max_slowdown skipped" "${applicable}" OFF)
+
+# --- 6. --profile: the record carries a host object with stage timings;
+# ---    an unprofiled run keeps null host/slo placeholders and is
+# ---    identical once both are removed.
+set(SMOKE --device comet --workload gcc_like --requests 5000)
+execute_process(
+  COMMAND ${COMET_SIM} ${SMOKE} --profile --json ${WORK_DIR}/profiled.json
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+expect_eq("profiled run exit" "${rc}" 0)
+execute_process(
+  COMMAND ${COMET_SIM} ${SMOKE} --json ${WORK_DIR}/unprofiled.json
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+expect_eq("unprofiled run exit" "${rc}" 0)
+file(READ ${WORK_DIR}/profiled.json profiled)
+file(READ ${WORK_DIR}/unprofiled.json unprofiled)
+string(JSON wall_s GET "${profiled}" results 0 host wall_s)
+if(NOT wall_s GREATER 0)
+  message(FATAL_ERROR "profiled host.wall_s: expected > 0, got '${wall_s}'")
+endif()
+string(JSON requests GET "${profiled}" results 0 host requests)
+expect_eq("profiled host.requests" "${requests}" 5000)
+string(JSON stages LENGTH "${profiled}" results 0 host stages)
+if(NOT stages GREATER 0)
+  message(FATAL_ERROR "profiled host.stages is empty")
+endif()
+foreach(key host slo)
+  string(JSON type TYPE "${unprofiled}" results 0 ${key})
+  expect_eq("unprofiled ${key}" "${type}" NULL)
+endforeach()
+foreach(key host slo)
+  string(JSON profiled REMOVE "${profiled}" results 0 ${key})
+  string(JSON unprofiled REMOVE "${unprofiled}" results 0 ${key})
+endforeach()
+expect_eq("profiled == unprofiled without host/slo" "${profiled}"
+  "${unprofiled}")
+
+# --- 7. The live heartbeat under a threaded sweep: progress goes to
+# ---    stderr only, and the report still holds every device's record.
+execute_process(
+  COMMAND ${COMET_SIM} --device all --workload gcc_like --requests 2000
+          --threads 4 --progress=50 --json ${WORK_DIR}/progress.json
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+expect_eq("progress run exit" "${rc}" 0)
+file(READ ${WORK_DIR}/progress.json json)
+string(JSON records LENGTH "${json}" results)
+expect_eq("progress run records" "${records}" 7)
+expect_contains("progress stderr" "${err}" "req")
+
+message(STATUS "SLO CLI checks passed")

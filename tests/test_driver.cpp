@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -591,7 +592,13 @@ TEST(OptionsTest, ListPoliciesParsesAndRegistryIsComplete) {
     // name mapping — the same token --schedule accepts.
     EXPECT_EQ(comet::sched::policy_name(info.policy), info.name);
     EXPECT_NE(std::string(info.summary), "");
-    EXPECT_NE(std::string(info.knobs), "");
+    // Each policy-specific knob is a [controller] document key.
+    for (const std::string knob : info.knobs) {
+      EXPECT_TRUE(std::ranges::any_of(
+          comet::config::Schema<comet::sched::ControllerConfig>::fields,
+          [&](const auto& field) { return knob == field.key; }))
+          << info.name << ": " << knob;
+    }
   }
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "config/experiment.hpp"
+#include "config/toml.hpp"
 #include "driver/options.hpp"
 #include "driver/registry.hpp"
 #include "driver/report.hpp"
@@ -535,4 +536,36 @@ TEST(SchedReport, TableShowsSchedulerBreakdown) {
   comet::driver::print_report(os, jobs, results, /*csv=*/false);
   EXPECT_NE(os.str().find("Scheduler breakdown"), std::string::npos);
   EXPECT_NE(os.str().find("read-first"), std::string::npos);
+}
+
+TEST(SchedReport, SummaryKeepsEachPolicyApart) {
+  const std::string text =
+      "[experiment]\n"
+      "devices = [\"epcm\"]\n"
+      "workloads = [\"lbm_like\", \"mcf_like\"]\n"
+      "requests = 600\n"
+      "\n"
+      "[controller]\n"
+      "policy = [\"fcfs\", \"frfcfs\"]\n";
+  const auto spec = comet::config::parse_experiment(
+      comet::config::toml::parse_string(text, "policies.toml"), nullptr);
+  const auto jobs = comet::driver::build_matrix(spec);
+  ASSERT_EQ(jobs.size(), 4u);
+  const auto results = comet::driver::run_sweep(jobs, 1);
+  std::ostringstream os;
+  comet::driver::print_report(os, jobs, results, /*csv=*/true);
+  const std::string heading = "=== Per-device averages over workloads ===\n";
+  const std::string report = os.str();
+  const auto begin = report.find(heading);
+  ASSERT_NE(begin, std::string::npos);
+  std::istringstream summary(report.substr(begin + heading.size()));
+  std::vector<std::string> rows;
+  std::string line;
+  std::getline(summary, line);  // CSV header.
+  while (std::getline(summary, line) && !line.empty()) rows.push_back(line);
+  // One row per policy, each averaging its own two workloads.
+  ASSERT_EQ(rows.size(), 2u);
+  const std::string& device = jobs[0].device.name;
+  EXPECT_EQ(rows[0].rfind(device + " (fcfs),", 0), 0u) << rows[0];
+  EXPECT_EQ(rows[1].rfind(device + " (frfcfs),", 0), 0u) << rows[1];
 }
