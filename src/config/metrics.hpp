@@ -4,18 +4,20 @@
 #include <functional>
 #include <span>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "memsim/stats.hpp"
 #include "prof/slo.hpp"
+#include "util/metric.hpp"
 #include "util/names.hpp"
 
-/// Metric tables: one row (JSON key, getter) per number of a run's JSON
-/// record. The report writer prints the rows and the SLO gates evaluate
-/// them, so a new reported statistic is one row. An SLO metric is the
-/// JSON path of a row — `p99_read_latency_ns`, `sched.admit_stalls`,
-/// `tenants.max_slowdown`, `host.requests_per_s` — or an alias below.
+/// The run record's metric tables: one row (JSON key, getter) per number
+/// of a run's JSON record. The report writer prints the rows, the
+/// console tables show the `kConsole` rows under their keys, and the
+/// SLO gates evaluate them, so a new reported statistic is one row. An
+/// SLO metric is the JSON path of a row — `p99_read_latency_ns`,
+/// `sched.admit_stalls`, `tenants.max_slowdown`, `host.requests_per_s` —
+/// or an alias below.
 namespace comet::config {
 
 /// What record rows read: the simulated statistics and the job's host
@@ -25,17 +27,8 @@ struct RunRecord {
   double wall_s = 0.0;
 };
 
-/// Integer getters print as integers, double getters with round-trip
-/// precision.
-template <typename V>
-struct Metric {
-  const char* key;
-  std::variant<std::uint64_t (*)(const V&), double (*)(const V&)> get;
-
-  double value(const V& v) const {
-    return std::visit([&](auto f) { return static_cast<double>(f(v)); }, get);
-  }
-};
+using util::kConsole;
+using util::Metric;
 
 /// Record rows living in one JSON object: `block` ("" = the record
 /// itself) prefixes their SLO names, and `measured` (null = always)
@@ -70,18 +63,18 @@ inline constexpr Metric<R> run[] = {
     {"reads", stat<&S::reads>},
     {"writes", stat<&S::writes>},
     {"span_ps", stat<&S::span_ps>},
-    {"avg_latency_ns", stat<&S::avg_latency_ns>},
-    {"avg_read_latency_ns", dist<&S::read_latency_ns, &D::mean>},
-    {"avg_write_latency_ns", dist<&S::write_latency_ns, &D::mean>},
+    {"avg_latency_ns", stat<&S::avg_latency_ns>, kConsole},
+    {"avg_read_latency_ns", dist<&S::read_latency_ns, &D::mean>, kConsole},
+    {"avg_write_latency_ns", dist<&S::write_latency_ns, &D::mean>, kConsole},
     {"p50_read_latency_ns", dist<&S::read_latency_ns, &D::p50>},
-    {"p95_read_latency_ns", dist<&S::read_latency_ns, &D::p95>},
+    {"p95_read_latency_ns", dist<&S::read_latency_ns, &D::p95>, kConsole},
     {"p99_read_latency_ns", dist<&S::read_latency_ns, &D::p99>},
     {"p50_write_latency_ns", dist<&S::write_latency_ns, &D::p50>},
     {"p95_write_latency_ns", dist<&S::write_latency_ns, &D::p95>},
     {"p99_write_latency_ns", dist<&S::write_latency_ns, &D::p99>},
-    {"avg_queue_delay_ns", dist<&S::queue_delay_ns, &D::mean>},
-    {"bandwidth_gbps", stat<&S::bandwidth_gbps>},
-    {"energy_pj_per_bit", stat<&S::epb_pj_per_bit>},
+    {"avg_queue_delay_ns", dist<&S::queue_delay_ns, &D::mean>, kConsole},
+    {"bandwidth_gbps", stat<&S::bandwidth_gbps>, kConsole},
+    {"energy_pj_per_bit", stat<&S::epb_pj_per_bit>, kConsole},
     {"dynamic_energy_pj", stat<&S::dynamic_energy_pj>},
     {"background_energy_pj", stat<&S::background_energy_pj>},
 };
@@ -89,41 +82,44 @@ inline constexpr Metric<R> run[] = {
 inline constexpr Metric<R> cache[] = {
     {"cache_hits", stat<&S::cache_hits>},
     {"cache_misses", stat<&S::cache_misses>},
-    {"hit_rate", stat<&S::hit_rate>},
-    {"writebacks", stat<&S::writebacks>},
-    {"dram_tier_energy_pj", stat<&S::dram_tier_energy_pj>},
-    {"backend_tier_energy_pj", stat<&S::backend_tier_energy_pj>},
+    {"hit_rate", stat<&S::hit_rate>, kConsole},
+    {"writebacks", stat<&S::writebacks>, kConsole},
+    {"dram_tier_energy_pj", stat<&S::dram_tier_energy_pj>, kConsole},
+    {"backend_tier_energy_pj", stat<&S::backend_tier_energy_pj>, kConsole},
 };
 
 inline constexpr Metric<R> sched[] = {
-    {"avg_queue_delay_ns", dist<&S::sched_queue_delay_ns, &D::mean>},
+    {"avg_queue_delay_ns", dist<&S::sched_queue_delay_ns, &D::mean>, kConsole},
     {"p95_queue_delay_ns", dist<&S::sched_queue_delay_ns, &D::p95>},
-    {"avg_service_latency_ns", dist<&S::service_latency_ns, &D::mean>},
-    {"avg_read_queue_occupancy", dist<&S::read_queue_occupancy, &D::mean>},
-    {"avg_write_queue_occupancy", dist<&S::write_queue_occupancy, &D::mean>},
+    {"avg_service_latency_ns", dist<&S::service_latency_ns, &D::mean>,
+     kConsole},
+    {"avg_read_queue_occupancy", dist<&S::read_queue_occupancy, &D::mean>,
+     kConsole},
+    {"avg_write_queue_occupancy", dist<&S::write_queue_occupancy, &D::mean>,
+     kConsole},
     {"max_write_queue_occupancy", dist<&S::write_queue_occupancy, &D::max>},
-    {"write_drains", stat<&S::write_drains>},
+    {"write_drains", stat<&S::write_drains>, kConsole},
     {"drained_writes", stat<&S::drained_writes>},
-    {"drain_stalls", stat<&S::drain_stalls>},
-    {"admit_stalls", stat<&S::admit_stalls>},
+    {"drain_stalls", stat<&S::drain_stalls>, kConsole},
+    {"admit_stalls", stat<&S::admit_stalls>, kConsole},
 };
 
 inline constexpr Metric<R> tenants[] = {
-    {"max_slowdown", stat<&S::max_slowdown>},
-    {"fairness_index", stat<&S::fairness_index>},
+    {"max_slowdown", stat<&S::max_slowdown>, kConsole},
+    {"fairness_index", stat<&S::fairness_index>, kConsole},
 };
 
 /// Each element of the `tenants.streams` array (not gateable).
 inline constexpr Metric<T> stream[] = {
-    {"reads", stat<&T::reads, T>},
-    {"writes", stat<&T::writes, T>},
+    {"reads", stat<&T::reads, T>, kConsole},
+    {"writes", stat<&T::writes, T>, kConsole},
     {"bytes", stat<&T::bytes_transferred, T>},
-    {"avg_latency_ns", stat<&T::avg_latency_ns, T>},
+    {"avg_latency_ns", stat<&T::avg_latency_ns, T>, kConsole},
     {"p50_latency_ns", dist<&T::latency_ns, &D::p50, T>},
     {"p95_latency_ns", dist<&T::latency_ns, &D::p95, T>},
-    {"p99_latency_ns", dist<&T::latency_ns, &D::p99, T>},
-    {"alone_avg_latency_ns", stat<&T::alone_avg_latency_ns, T>},
-    {"slowdown", stat<&T::slowdown, T>},
+    {"p99_latency_ns", dist<&T::latency_ns, &D::p99, T>, kConsole},
+    {"alone_avg_latency_ns", stat<&T::alone_avg_latency_ns, T>, kConsole},
+    {"slowdown", stat<&T::slowdown, T>, kConsole},
 };
 
 inline std::uint64_t requests(const R& r) {
@@ -136,10 +132,11 @@ inline bool multi_tenant(const R& r) { return r.stats.is_multi_tenant(); }
 inline bool timed(const R& r) { return r.wall_s > 0.0; }
 
 inline constexpr Metric<R> host[] = {
-    {"wall_s", [](const R& r) { return r.wall_s; }},
+    {"wall_s", [](const R& r) { return r.wall_s; }, kConsole},
     {"requests", requests},
     {"requests_per_s",
-     [](const R& r) { return r.wall_s > 0 ? requests(r) / r.wall_s : 0.0; }},
+     [](const R& r) { return r.wall_s > 0 ? requests(r) / r.wall_s : 0.0; },
+     kConsole},
 };
 
 }  // namespace rows

@@ -1,11 +1,12 @@
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "config/experiment.hpp"
@@ -22,6 +23,40 @@
 #include "sched/controller.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
+
+namespace {
+
+/// A driver output file: `open` and `close` print the diagnostic and
+/// return false on failure. With `via_temp` the stream writes
+/// `<path>.tmp` and `close` renames it onto `path`, so a failed run never
+/// clobbers a previous file.
+struct OutputFile {
+  std::string path, temp;
+  std::ofstream out;
+
+  bool open(std::string to, bool via_temp = false) {
+    path = std::move(to);
+    if (via_temp) temp = path + ".tmp";
+    out.open(via_temp ? temp : path);
+    if (out) return true;
+    std::cerr << "comet_sim: cannot open '" << (via_temp ? temp : path)
+              << "' for writing\n";
+    return false;
+  }
+
+  bool close() {
+    out.close();
+    if (!out.fail() &&
+        (temp.empty() || std::rename(temp.c_str(), path.c_str()) == 0)) {
+      return true;
+    }
+    std::cerr << "comet_sim: error writing '" << path << "' (disk full?)\n";
+    if (!temp.empty()) std::remove(temp.c_str());
+    return false;
+  }
+};
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace comet::driver;
@@ -72,22 +107,13 @@ int main(int argc, char** argv) {
       const auto requests = static_cast<std::size_t>(spec.requests.front());
       auto source = comet::memsim::TraceGenerator(profile, spec.seeds.front())
                         .stream(requests, spec.line_bytes);
-      std::ofstream out(options.dump_trace);
-      if (!out) {
-        std::cerr << "comet_sim: cannot open '" << options.dump_trace
-                  << "' for writing\n";
-        return 1;
-      }
+      OutputFile file;
+      if (!file.open(options.dump_trace)) return 1;
       comet::memsim::write_trace(
-          out, source,
+          file.out, source,
           comet::memsim::TraceConfig{.cpu_clock_ghz = spec.cpu_ghz,
                                      .line_bytes = spec.line_bytes});
-      out.close();
-      if (out.fail()) {
-        std::cerr << "comet_sim: error writing '" << options.dump_trace
-                  << "' (disk full?)\n";
-        return 1;
-      }
+      if (!file.close()) return 1;
       std::cout << "wrote " << options.dump_trace << " (" << requests
                 << " requests, " << profile.name << ")\n";
     } catch (const std::exception& e) {
@@ -103,19 +129,10 @@ int main(int argc, char** argv) {
     // of --dump-trace.
     try {
       const auto spec = resolve_experiment(options.spec);
-      std::ofstream out(options.dump_config);
-      if (!out) {
-        std::cerr << "comet_sim: cannot open '" << options.dump_config
-                  << "' for writing\n";
-        return 1;
-      }
-      comet::config::write_experiment(out, spec);
-      out.close();
-      if (out.fail()) {
-        std::cerr << "comet_sim: error writing '" << options.dump_config
-                  << "' (disk full?)\n";
-        return 1;
-      }
+      OutputFile file;
+      if (!file.open(options.dump_config)) return 1;
+      comet::config::write_experiment(file.out, spec);
+      if (!file.close()) return 1;
       std::cout << "wrote " << options.dump_config << " ("
                 << spec.devices.size() << " device(s), "
                 << spec.workloads.size() << " workload(s))\n";
@@ -127,19 +144,13 @@ int main(int argc, char** argv) {
   }
 
   try {
-    // Write JSON to a sibling temp file and rename on success: an
-    // unwritable path fails in milliseconds (not after a multi-minute
-    // run), and a failed run never clobbers a previous results file.
-    const std::string json_tmp =
-        options.json_path.empty() ? "" : options.json_path + ".tmp";
-    std::ofstream out;
-    if (!json_tmp.empty()) {
-      out.open(json_tmp);
-      if (!out) {
-        std::cerr << "comet_sim: cannot open '" << json_tmp
-                  << "' for writing\n";
-        return 1;
-      }
+    // Open the JSON report (a sibling temp file, renamed on success)
+    // before the sweep: an unwritable path fails in milliseconds, not
+    // after a multi-minute run.
+    OutputFile json;
+    if (!options.json_path.empty() &&
+        !json.open(options.json_path, /*via_temp=*/true)) {
+      return 1;
     }
 
     const auto jobs = build_matrix(options.spec);
@@ -174,9 +185,8 @@ int main(int argc, char** argv) {
         std::chrono::steady_clock::now() - start);
 
     print_report(std::cout, jobs, results, options.csv);
-    print_host_profile(std::cout, jobs, &profilers, options.csv);
-    std::cout << "\n" << jobs.size() << " run(s) in " << elapsed.count()
-              << " s\n";
+    print_host_profile(std::cout, jobs, results, &profilers, options.csv);
+    std::cout << jobs.size() << " run(s) in " << elapsed.count() << " s\n";
 
     // SLO health gates: evaluated per record against the finished stats
     // (plus each job's host wall clock). The report is still written in
@@ -184,6 +194,7 @@ int main(int argc, char** argv) {
     // so CI can both archive the JSON and fail the build.
     std::vector<std::vector<comet::config::SloOutcome>> slo_outcomes(
         jobs.size());
+    const auto labels = record_labels(jobs);
     bool slo_failed = false;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       const auto& predicates = jobs[i].profile_spec.slo;
@@ -197,7 +208,7 @@ int main(int argc, char** argv) {
         slo_failed = true;
         std::cerr << "comet_sim: SLO violation: "
                   << outcome.predicate.to_string() << " (actual "
-                  << outcome.value << ") on " << jobs[i].device.name << "/"
+                  << outcome.value << ") on " << labels[i] << "/"
                   << jobs[i].profile.name << "\n";
       }
     }
@@ -215,18 +226,10 @@ int main(int argc, char** argv) {
     }
     if (!trace_runs.empty() && jobs.front().telemetry.tracing()) {
       const std::string& path = jobs.front().telemetry.trace_path;
-      std::ofstream trace_out(path);
-      if (!trace_out) {
-        std::cerr << "comet_sim: cannot open '" << path << "' for writing\n";
-        return 1;
-      }
-      comet::telemetry::write_chrome_trace(trace_out, trace_runs);
-      trace_out.close();
-      if (trace_out.fail()) {
-        std::cerr << "comet_sim: error writing '" << path
-                  << "' (disk full?)\n";
-        return 1;
-      }
+      OutputFile file;
+      if (!file.open(path)) return 1;
+      comet::telemetry::write_chrome_trace(file.out, trace_runs);
+      if (!file.close()) return 1;
       std::uint64_t events = 0;
       std::uint64_t dropped = 0;
       for (const auto& run : trace_runs) {
@@ -239,31 +242,17 @@ int main(int argc, char** argv) {
     }
     if (!trace_runs.empty() && !jobs.front().telemetry.metrics_csv.empty()) {
       const std::string& path = jobs.front().telemetry.metrics_csv;
-      std::ofstream csv_out(path);
-      if (!csv_out) {
-        std::cerr << "comet_sim: cannot open '" << path << "' for writing\n";
-        return 1;
-      }
-      comet::telemetry::write_timeline_csv(csv_out, trace_runs);
-      csv_out.close();
-      if (csv_out.fail()) {
-        std::cerr << "comet_sim: error writing '" << path
-                  << "' (disk full?)\n";
-        return 1;
-      }
+      OutputFile file;
+      if (!file.open(path)) return 1;
+      comet::telemetry::write_timeline_csv(file.out, trace_runs);
+      if (!file.close()) return 1;
       std::cout << "wrote " << path << "\n";
     }
 
-    if (!json_tmp.empty()) {
-      write_json(out, jobs, results, &collectors, &profilers, &slo_outcomes);
-      out.close();
-      if (out.fail() ||
-          std::rename(json_tmp.c_str(), options.json_path.c_str()) != 0) {
-        std::cerr << "comet_sim: error writing '" << options.json_path
-                  << "' (disk full?)\n";
-        std::remove(json_tmp.c_str());
-        return 1;
-      }
+    if (!options.json_path.empty()) {
+      write_json(json.out, jobs, results, &collectors, &profilers,
+                 &slo_outcomes);
+      if (!json.close()) return 1;
       std::cout << "wrote " << options.json_path << "\n";
     }
     if (slo_failed) return 3;

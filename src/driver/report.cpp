@@ -1,6 +1,9 @@
 #include "driver/report.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cstdio>
+#include <functional>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -33,168 +36,213 @@ void write_metrics(std::ostream& os, const Rows& rows, const V& view,
   }
 }
 
+/// `[a, b, ...]`, where `write` writes each element of `items`.
+template <typename Items, typename Write>
+void write_array(std::ostream& os, const Items& items, const Write& write) {
+  os << "[";
+  const char* sep = "";
+  for (const auto& item : items) {
+    os << sep;
+    write(item);
+    sep = ", ";
+  }
+  os << "]";
+}
+
+/// Throws "jobs/<what> size mismatch" unless `what` has `size` entries,
+/// one per job.
+void expect_size(const std::vector<SweepJob>& jobs, std::size_t size,
+                 const char* what) {
+  if (size != jobs.size()) {
+    throw std::invalid_argument(std::string("jobs/") + what +
+                                " size mismatch");
+  }
+}
+
+// --- Console tables: a metric row's column is headed by its key, and
+// --- its cells print integers in full and doubles to six digits.
+
+std::string console_cell(std::uint64_t v) { return std::to_string(v); }
+std::string console_cell(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.6g", v);
+  return buf;
+}
+
+/// `labels`, then the key of each console row, then `trailing`.
+template <typename Rows>
+std::vector<std::string> console_heads(std::vector<std::string> labels,
+                                       const Rows& rows,
+                                       std::vector<std::string> trailing = {}) {
+  for (const auto& row : rows) {
+    if (row.console) labels.emplace_back(row.key);
+  }
+  labels.insert(labels.end(), trailing.begin(), trailing.end());
+  return labels;
+}
+
+/// `labels`, then `v`'s cell of each console row, then `trailing`.
+template <typename Rows, typename V>
+std::vector<std::string> console_cells(std::vector<std::string> labels,
+                                       const Rows& rows, const V& v,
+                                       std::vector<std::string> trailing = {}) {
+  for (const auto& row : rows) {
+    if (!row.console) continue;
+    labels.push_back(
+        std::visit([&](auto get) { return console_cell(get(v)); }, row.get));
+  }
+  labels.insert(labels.end(), trailing.begin(), trailing.end());
+  return labels;
+}
+
+/// One console row per record that measured `block`: its label and
+/// workload (and, with `policy`, its scheduling policy), then the
+/// block's console rows.
+util::Table block_table(const config::MetricBlock& block,
+                        const std::vector<SweepJob>& jobs,
+                        const std::vector<memsim::SimStats>& results,
+                        const std::vector<std::string>& labels,
+                        bool policy = false) {
+  std::vector<std::string> heads{"device", "workload"};
+  if (policy) heads.emplace_back("policy");
+  util::Table table(console_heads(heads, block.rows));
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const config::RunRecord record{results[i]};
+    if (block.measured && !block.measured(record)) continue;
+    std::vector<std::string> cells{labels[i], jobs[i].profile.name};
+    if (policy) cells.push_back(results[i].sched_policy);
+    table.add_row(console_cells(std::move(cells), block.rows, record));
+  }
+  return table;
+}
+
+/// "=== title ===", the table (CSV with `csv`) and a blank line; nothing
+/// for an empty table.
+void print_section(std::ostream& os, const std::string& title,
+                   const util::Table& table, bool csv) {
+  if (table.rows() == 0) return;
+  os << "=== " << title << " ===\n";
+  if (csv) table.print_csv(os); else table.print(os);
+  os << "\n";
+}
+
 }  // namespace
+
+std::vector<std::string> record_labels(const std::vector<SweepJob>& jobs) {
+  // The axes a label may name after the device, as the label spells them.
+  const auto axes = [](const SweepJob& job) {
+    return std::array<std::string, 4>{
+        job.controller ? sched::policy_name(job.controller->policy) : "",
+        std::to_string(job.device.channels()) + " ch",
+        std::to_string(job.requests) + " req",
+        "seed " + std::to_string(job.seed)};
+  };
+  // A label names an axis only when some device takes several values of
+  // it, so sweeps without those axes keep the bare device name.
+  std::array<std::set<std::pair<std::string, std::string>>, 4> seen;
+  std::set<std::string> devices;
+  for (const auto& job : jobs) {
+    devices.insert(job.device.name);
+    const auto values = axes(job);
+    for (std::size_t a = 0; a < values.size(); ++a) {
+      seen[a].emplace(job.device.name, values[a]);
+    }
+  }
+  std::vector<std::string> labels;
+  for (const auto& job : jobs) {
+    std::string label = job.device.name;
+    const char* sep = " (";
+    const auto values = axes(job);
+    for (std::size_t a = 0; a < values.size(); ++a) {
+      if (seen[a].size() == devices.size()) continue;
+      label += sep + values[a];
+      sep = ", ";
+    }
+    labels.push_back(*sep == ',' ? label + ")" : label);
+  }
+  return labels;
+}
 
 void print_report(std::ostream& os, const std::vector<SweepJob>& jobs,
                   const std::vector<memsim::SimStats>& results, bool csv) {
-  if (jobs.size() != results.size()) {
-    throw std::invalid_argument("jobs/results size mismatch");
-  }
-  using util::Table;
+  expect_size(jobs, results.size(), "results");
+  const auto labels = record_labels(jobs);
+  const auto& run = config::kRunMetrics.rows;
+  print_section(os, "Per-run results",
+                block_table(config::kRunMetrics, jobs, results, labels),
+                csv);
 
-  Table per_run({"device", "workload", "BW (GB/s)", "EPB (pJ/bit)",
-                 "read lat (ns)", "write lat (ns)", "queue (ns)"});
-  // One summary row per matrix cell minus the workload axis: the device
-  // name, then its policy, channel count, request count and seed as the
-  // row label spells them.
-  using Cell = std::array<std::string, 5>;
-  const auto cell_of = [](const SweepJob& job) {
-    return Cell{job.device.name,
-                job.controller ? sched::policy_name(job.controller->policy)
-                               : "",
-                std::to_string(job.device.channels()) + " ch",
-                std::to_string(job.requests) + " req",
-                "seed " + std::to_string(job.seed)};
-  };
-  struct Agg {
-    double bw = 0.0, epb = 0.0, latency = 0.0;
-    int n = 0;
-  };
-  std::map<Cell, Agg> per_cell;
-  std::vector<Cell> cell_order;
-
+  // One summary row per label: the per-run columns averaged over the
+  // label's workloads, then mean bandwidth over mean EPB (Fig. 9c).
+  std::vector<std::string> label_order;
+  std::map<std::string, std::vector<const memsim::SimStats*>> runs_of;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const auto& stats = results[i];
-    per_run.add_row({jobs[i].device.name, jobs[i].profile.name,
-                     Table::num(stats.bandwidth_gbps(), 2),
-                     Table::num(stats.epb_pj_per_bit(), 2),
-                     Table::num(stats.read_latency_ns.mean(), 1),
-                     Table::num(stats.write_latency_ns.mean(), 1),
-                     Table::num(stats.queue_delay_ns.mean(), 1)});
-    const Cell cell = cell_of(jobs[i]);
-    if (per_cell.find(cell) == per_cell.end()) cell_order.push_back(cell);
-    auto& agg = per_cell[cell];
-    agg.bw += stats.bandwidth_gbps();
-    agg.epb += stats.epb_pj_per_bit();
-    agg.latency += stats.avg_latency_ns();
-    ++agg.n;
+    auto& runs = runs_of[labels[i]];
+    if (runs.empty()) label_order.push_back(labels[i]);
+    runs.push_back(&results[i]);
   }
-
-  os << "=== Per-run results ===\n";
-  if (csv) per_run.print_csv(os); else per_run.print(os);
-
-  Table summary({"device", "avg BW (GB/s)", "avg EPB (pJ/bit)", "BW/EPB",
-                 "avg latency (ns)"});
-  // A row names an axis only when some device takes several values of
-  // it, so sweeps without those axes keep the bare device label.
-  std::set<std::string> devices;
-  for (const auto& cell : cell_order) devices.insert(cell[0]);
-  std::vector<std::size_t> named_axes;
-  for (std::size_t axis = 1; axis < Cell{}.size(); ++axis) {
-    std::set<std::pair<std::string, std::string>> seen;
-    for (const auto& cell : cell_order) seen.emplace(cell[0], cell[axis]);
-    if (seen.size() > devices.size()) named_axes.push_back(axis);
-  }
-  for (const auto& cell : cell_order) {
-    std::string label = cell[0];
-    for (std::size_t i = 0; i < named_axes.size(); ++i) {
-      label += (i == 0 ? " (" : ", ") + cell[named_axes[i]];
+  util::Table summary(console_heads({"device"}, run,
+                                    {"bandwidth_gbps/energy_pj_per_bit"}));
+  for (const auto& label : label_order) {
+    const auto& runs = runs_of.at(label);
+    const auto mean = [&](const auto& get) {
+      double sum = 0.0;
+      for (const memsim::SimStats* stats : runs) sum += get(*stats);
+      return sum / static_cast<double>(runs.size());
+    };
+    std::vector<std::string> cells{label};
+    for (const auto& row : run) {
+      if (!row.console) continue;
+      cells.push_back(console_cell(mean([&](const memsim::SimStats& stats) {
+        return row.value(config::RunRecord{stats});
+      })));
     }
-    if (!named_axes.empty()) label += ")";
-    const auto& agg = per_cell.at(cell);
-    const double bw = agg.bw / agg.n;
-    const double epb = agg.epb / agg.n;
-    summary.add_row({label, Table::num(bw, 2), Table::num(epb, 2),
-                     Table::num(epb > 0 ? bw / epb : 0.0, 3),
-                     Table::num(agg.latency / agg.n, 1)});
+    const double bw = mean(std::mem_fn(&memsim::SimStats::bandwidth_gbps));
+    const double epb = mean(std::mem_fn(&memsim::SimStats::epb_pj_per_bit));
+    cells.push_back(console_cell(epb > 0 ? bw / epb : 0.0));
+    summary.add_row(std::move(cells));
   }
-  os << "\n=== Per-device averages over workloads ===\n";
-  if (csv) summary.print_csv(os); else summary.print(os);
+  print_section(os, "Per-device averages over workloads", summary, csv);
 
-  // Hybrid runs get a tier breakdown: the flat columns above stay
-  // comparable across all devices, and the cache behaviour lives here.
-  Table hybrid({"device", "workload", "hit rate", "writebacks",
-                "DRAM tier (pJ)", "backend tier (pJ)"});
+  // Hybrid runs get a tier breakdown, scheduled runs the controller
+  // breakdown and multi-tenant runs the fairness breakdown, so the flat
+  // columns above stay comparable across all devices.
+  print_section(os, "Hybrid tier breakdown",
+                block_table(config::kCacheMetrics, jobs, results, labels),
+                csv);
+  print_section(os, "Scheduler breakdown",
+                block_table(config::kSchedMetrics, jobs, results, labels,
+                            /*policy=*/true),
+                csv);
+  util::Table streams(
+      console_heads({"device", "workload", "tenant"}, config::rows::stream));
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const auto& stats = results[i];
-    if (!stats.is_hybrid()) continue;
-    hybrid.add_row({jobs[i].device.name, jobs[i].profile.name,
-                    Table::num(stats.hit_rate(), 3),
-                    std::to_string(stats.writebacks),
-                    Table::sci(stats.dram_tier_energy_pj, 3),
-                    Table::sci(stats.backend_tier_energy_pj, 3)});
-  }
-  if (hybrid.rows() > 0) {
-    os << "\n=== Hybrid tier breakdown ===\n";
-    if (csv) hybrid.print_csv(os); else hybrid.print(os);
-  }
-
-  // Scheduled runs get the controller breakdown: how much of the
-  // end-to-end latency was controller-queue wait vs device service,
-  // what the transaction queues held, and the write-drain activity.
-  Table sched({"device", "workload", "policy", "queued (ns)", "service (ns)",
-               "p95 read (ns)", "rd occ", "wr occ", "drains",
-               "drain stalls", "admit stalls"});
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const auto& stats = results[i];
-    if (!stats.is_scheduled()) continue;
-    sched.add_row({jobs[i].device.name, jobs[i].profile.name,
-                   stats.sched_policy,
-                   Table::num(stats.sched_queue_delay_ns.mean(), 1),
-                   Table::num(stats.service_latency_ns.mean(), 1),
-                   Table::num(stats.read_latency_ns.p95(), 1),
-                   Table::num(stats.read_queue_occupancy.mean(), 2),
-                   Table::num(stats.write_queue_occupancy.mean(), 2),
-                   std::to_string(stats.write_drains),
-                   std::to_string(stats.drain_stalls),
-                   std::to_string(stats.admit_stalls)});
-  }
-  if (sched.rows() > 0) {
-    os << "\n=== Scheduler breakdown ===\n";
-    if (csv) sched.print_csv(os); else sched.print(os);
-  }
-
-  // Multi-tenant runs get the fairness breakdown: per-tenant latency
-  // against its own run-alone baseline, plus each run's max slowdown
-  // and Jain index over the per-tenant slowdowns.
-  Table tenants({"device", "workload", "tenant", "reqs", "avg (ns)",
-                 "p99 (ns)", "alone (ns)", "slowdown"});
-  Table fairness({"device", "workload", "max slowdown", "Jain index"});
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const auto& stats = results[i];
-    if (!stats.is_multi_tenant()) continue;
-    for (const auto& tenant : stats.tenants) {
-      tenants.add_row({jobs[i].device.name, jobs[i].profile.name, tenant.name,
-                       std::to_string(tenant.requests()),
-                       Table::num(tenant.avg_latency_ns(), 1),
-                       Table::num(tenant.latency_ns.p99(), 1),
-                       Table::num(tenant.alone_avg_latency_ns, 1),
-                       Table::num(tenant.slowdown, 3)});
+    for (const auto& tenant : results[i].tenants) {
+      streams.add_row(
+          console_cells({labels[i], jobs[i].profile.name, tenant.name},
+                        config::rows::stream, tenant));
     }
-    fairness.add_row({jobs[i].device.name, jobs[i].profile.name,
-                      Table::num(stats.max_slowdown, 3),
-                      Table::num(stats.fairness_index, 3)});
   }
-  if (tenants.rows() > 0) {
-    os << "\n=== Tenant breakdown ===\n";
-    if (csv) tenants.print_csv(os); else tenants.print(os);
-    os << "\n=== Tenant fairness ===\n";
-    if (csv) fairness.print_csv(os); else fairness.print(os);
-  }
+  print_section(os, "Tenant breakdown", streams, csv);
+  print_section(os, "Tenant fairness",
+                block_table(config::kTenantMetrics, jobs, results, labels),
+                csv);
 }
 
 void print_host_profile(
     std::ostream& os, const std::vector<SweepJob>& jobs,
+    const std::vector<memsim::SimStats>& results,
     const std::vector<std::unique_ptr<prof::Profiler>>* profilers, bool csv) {
   if (!profilers) return;
-  if (profilers->size() != jobs.size()) {
-    throw std::invalid_argument("jobs/profilers size mismatch");
-  }
-  using util::Table;
-
-  Table host({"device", "workload", "wall (s)", "req/s", "pool util",
-              "push stalls", "pop waits", "queue max"});
-  Table stages({"device", "workload", "stage", "calls", "wall (s)", "share"});
+  expect_size(jobs, results.size(), "results");
+  expect_size(jobs, profilers->size(), "profilers");
+  const auto labels = record_labels(jobs);
+  util::Table host(console_heads({"device", "workload"},
+                                 config::kHostMetrics.rows,
+                                 {"utilization", "push_stalls", "pop_waits",
+                                  "queue_high_water"}));
+  util::Table stages(
+      {"device", "workload", "stage", "calls", "wall_s", "share"});
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const prof::Profiler* profiler = (*profilers)[i].get();
     if (!profiler || !profiler->spec().profiling()) continue;
@@ -202,13 +250,11 @@ void print_host_profile(
     // Pool pressure aggregated across this record's pools (a hybrid run
     // has one pool per tier stage): utilization weighted by worker-time.
     double busy_s = 0.0, capacity_s = 0.0;
-    std::uint64_t push_stalls = 0, pop_waits = 0;
-    std::size_t queue_high_water = 0;
+    std::uint64_t push_stalls = 0, pop_waits = 0, queue_high_water = 0;
     for (const auto& pool : profiler->pools()) {
       push_stalls += pool->push_stalls;
-      if (pool->queue_high_water > queue_high_water) {
-        queue_high_water = pool->queue_high_water;
-      }
+      queue_high_water =
+          std::max<std::uint64_t>(queue_high_water, pool->queue_high_water);
       for (const auto& worker : pool->workers) {
         busy_s += worker.busy_s;
         pop_waits += worker.pop_waits;
@@ -217,68 +263,41 @@ void print_host_profile(
           pool->wall_s * static_cast<double>(pool->workers.size());
     }
     const double utilization = capacity_s > 0.0 ? busy_s / capacity_s : 0.0;
-    host.add_row({jobs[i].device.name, jobs[i].profile.name,
-                  Table::num(profiler->wall_seconds(), 3),
-                  Table::sci(profiler->requests_per_second(), 3),
-                  Table::num(utilization, 3),
-                  std::to_string(push_stalls), std::to_string(pop_waits),
-                  std::to_string(queue_high_water)});
-
     const double wall_s = profiler->wall_seconds();
+    host.add_row(console_cells(
+        {labels[i], jobs[i].profile.name}, config::kHostMetrics.rows,
+        config::RunRecord{results[i], wall_s},
+        {console_cell(utilization), console_cell(push_stalls),
+         console_cell(pop_waits), console_cell(queue_high_water)}));
+
     for (const auto& [name, stage] : profiler->stages()) {
-      stages.add_row({jobs[i].device.name, jobs[i].profile.name, name,
-                      std::to_string(stage.calls),
-                      Table::num(stage.wall_s, 3),
-                      Table::num(wall_s > 0.0 ? stage.wall_s / wall_s : 0.0,
-                                 3)});
+      stages.add_row({labels[i], jobs[i].profile.name, name,
+                      console_cell(stage.calls), console_cell(stage.wall_s),
+                      console_cell(wall_s > 0.0 ? stage.wall_s / wall_s
+                                                : 0.0)});
     }
   }
   if (host.rows() == 0) return;
-
-  os << "\n=== Host profile (wall clock; peak RSS "
-     << prof::peak_rss_bytes() / (1024 * 1024) << " MiB) ===\n";
-  if (csv) host.print_csv(os); else host.print(os);
-  if (stages.rows() > 0) {
-    os << "\n=== Host stage timings ===\n";
-    if (csv) stages.print_csv(os); else stages.print(os);
-  }
+  print_section(os,
+                "Host profile (wall clock; peak RSS " +
+                    std::to_string(prof::peak_rss_bytes() / (1024 * 1024)) +
+                    " MiB)",
+                host, csv);
+  print_section(os, "Host stage timings", stages, csv);
 }
 
 namespace {
 
 void write_timeline_json(std::ostream& os,
                          const telemetry::Collector& collector) {
-  os << "[";
-  bool first = true;
-  for (const auto& point : collector.timeline()) {
-    os << (first ? "" : ", ") << "{"
-       << "\"epoch\": " << point.epoch
-       << ", \"start_ps\": " << point.start_ps
-       << ", \"end_ps\": " << point.end_ps
-       << ", \"reads\": " << point.reads
-       << ", \"writes\": " << point.writes
-       << ", \"bytes\": " << point.bytes
-       << ", \"bandwidth_gbps\": " << json_number(point.bandwidth_gbps)
-       << ", \"avg_latency_ns\": " << json_number(point.avg_latency_ns)
-       << ", \"p50_latency_ns\": " << json_number(point.p50_latency_ns)
-       << ", \"p95_latency_ns\": " << json_number(point.p95_latency_ns)
-       << ", \"p99_latency_ns\": " << json_number(point.p99_latency_ns)
-       << ", \"avg_read_queue_occupancy\": "
-       << json_number(point.avg_read_queue_occupancy)
-       << ", \"avg_write_queue_occupancy\": "
-       << json_number(point.avg_write_queue_occupancy)
-       << ", \"write_drains\": " << point.write_drains
-       << ", \"drained_writes\": " << point.drained_writes
-       << ", \"admit_stalls\": " << point.admit_stalls
-       << ", \"bank_busy_ns\": " << json_number(point.bank_busy_ns)
-       << ", \"channel_requests\": [";
-    for (std::size_t c = 0; c < point.channel_requests.size(); ++c) {
-      os << (c ? ", " : "") << point.channel_requests[c];
-    }
-    os << "]}";
-    first = false;
-  }
-  os << "]";
+  write_array(os, collector.timeline(), [&](const auto& point) {
+    os << "{\"epoch\": " << point.epoch << ", \"start_ps\": " << point.start_ps
+       << ", \"end_ps\": " << point.end_ps;
+    write_metrics(os, telemetry::kTimelineMetrics, point);
+    os << ", \"channel_requests\": ";
+    write_array(os, point.channel_requests, [&](auto n) { os << n; });
+    os << "}";
+  });
 }
 
 /// The per-stage recording summary and channel×bank request heatmap.
@@ -287,28 +306,21 @@ void write_telemetry_json(std::ostream& os,
   os << "{\"recorded_events\": " << collector.recorded_events()
      << ", \"dropped_events\": " << collector.dropped_events()
      << ", \"truncated\": " << (collector.truncated() ? "true" : "false")
-     << ", \"stages\": [";
-  bool first_stage = true;
-  for (const auto& stage : collector.stages()) {
-    os << (first_stage ? "" : ", ")
-       << "{\"stage\": " << json_string(stage->stage())
+     << ", \"stages\": ";
+  write_array(os, collector.stages(), [&](const auto& stage) {
+    os << "{\"stage\": " << json_string(stage->stage())
        << ", \"channels\": " << stage->channels()
        << ", \"banks\": " << stage->banks()
        << ", \"recorded_events\": " << stage->recorded_events()
        << ", \"dropped_events\": " << stage->dropped_events()
        << ", \"bank_requests\": [";
     for (int c = 0; c < stage->channels(); ++c) {
-      const auto& lane = stage->lane(c);
-      os << (c ? ", " : "") << "[";
-      for (std::size_t b = 0; b < lane.bank_requests.size(); ++b) {
-        os << (b ? ", " : "") << lane.bank_requests[b];
-      }
-      os << "]";
+      os << (c ? ", " : "");
+      write_array(os, stage->lane(c).bank_requests, [&](auto n) { os << n; });
     }
     os << "]}";
-    first_stage = false;
-  }
-  os << "]}";
+  });
+  os << "}";
 }
 
 /// The whole-job host profile: wall clock, throughput, RSS, stage
@@ -317,19 +329,15 @@ void write_host_json(std::ostream& os, const prof::Profiler& profiler,
                      const config::RunRecord& record) {
   os << "{";
   write_metrics(os, config::kHostMetrics.rows, record, /*lead=*/false);
-  os << ", \"peak_rss_bytes\": " << prof::peak_rss_bytes()
-     << ", \"stages\": [";
-  bool first = true;
-  for (const auto& [name, stage] : profiler.stages()) {
-    os << (first ? "" : ", ") << "{\"stage\": " << json_string(name)
-       << ", \"calls\": " << stage.calls
-       << ", \"wall_s\": " << json_number(stage.wall_s) << "}";
-    first = false;
-  }
-  os << "], \"pools\": [";
-  bool first_pool = true;
-  for (const auto& pool : profiler.pools()) {
-    os << (first_pool ? "" : ", ") << "{\"stage\": " << json_string(pool->stage)
+  os << ", \"peak_rss_bytes\": " << prof::peak_rss_bytes() << ", \"stages\": ";
+  write_array(os, profiler.stages(), [&](const auto& named) {
+    os << "{\"stage\": " << json_string(named.first)
+       << ", \"calls\": " << named.second.calls
+       << ", \"wall_s\": " << json_number(named.second.wall_s) << "}";
+  });
+  os << ", \"pools\": ";
+  write_array(os, profiler.pools(), [&](const auto& pool) {
+    os << "{\"stage\": " << json_string(pool->stage)
        << ", \"threads\": " << pool->threads
        << ", \"wall_s\": " << json_number(pool->wall_s)
        << ", \"utilization\": " << json_number(pool->utilization())
@@ -339,24 +347,21 @@ void write_host_json(std::ostream& os, const prof::Profiler& profiler,
        << ", \"push_stalls\": " << pool->push_stalls
        << ", \"push_wait_s\": " << json_number(pool->push_wait_s)
        << ", \"queue_high_water\": " << pool->queue_high_water
-       << ", \"lanes\": [";
-    for (std::size_t l = 0; l < pool->lanes.size(); ++l) {
-      const auto& lane = pool->lanes[l];
-      os << (l ? ", " : "") << "{\"busy_s\": " << json_number(lane.busy_s)
+       << ", \"lanes\": ";
+    write_array(os, pool->lanes, [&](const auto& lane) {
+      os << "{\"busy_s\": " << json_number(lane.busy_s)
          << ", \"blocks\": " << lane.blocks
          << ", \"requests\": " << lane.requests << "}";
-    }
-    os << "], \"workers\": [";
-    for (std::size_t w = 0; w < pool->workers.size(); ++w) {
-      const auto& worker = pool->workers[w];
-      os << (w ? ", " : "") << "{\"busy_s\": " << json_number(worker.busy_s)
+    });
+    os << ", \"workers\": ";
+    write_array(os, pool->workers, [&](const auto& worker) {
+      os << "{\"busy_s\": " << json_number(worker.busy_s)
          << ", \"idle_s\": " << json_number(worker.idle_s)
          << ", \"pop_waits\": " << worker.pop_waits << "}";
-    }
-    os << "]}";
-    first_pool = false;
-  }
-  os << "]}";
+    });
+    os << "}";
+  });
+  os << "}";
 }
 
 /// The SLO verdict: overall pass plus one check per predicate. A check
@@ -366,18 +371,25 @@ void write_host_json(std::ostream& os, const prof::Profiler& profiler,
 void write_slo_json(std::ostream& os,
                     const std::vector<config::SloOutcome>& outcomes) {
   os << "{\"pass\": " << (config::slo_violated(outcomes) ? "false" : "true")
-     << ", \"checks\": [";
-  for (std::size_t c = 0; c < outcomes.size(); ++c) {
-    const config::SloOutcome& outcome = outcomes[c];
-    os << (c ? ", " : "")
-       << "{\"predicate\": " << json_string(outcome.predicate.to_string())
+     << ", \"checks\": ";
+  write_array(os, outcomes, [&](const config::SloOutcome& outcome) {
+    os << "{\"predicate\": " << json_string(outcome.predicate.to_string())
        << ", \"metric\": " << json_string(outcome.predicate.metric)
        << ", \"threshold\": " << json_number(outcome.predicate.threshold)
        << ", \"value\": " << json_number(outcome.value)
        << ", \"applicable\": " << (outcome.applicable ? "true" : "false")
        << ", \"pass\": " << (outcome.pass ? "true" : "false") << "}";
-  }
-  os << "]}";
+  });
+  os << "}";
+}
+
+/// `, "key": ` and then what `write` writes, or `null` when `present`
+/// is false.
+template <typename Write>
+void write_nullable(std::ostream& os, const char* key, bool present,
+                    const Write& write) {
+  os << ", \"" << key << "\": ";
+  if (present) write(); else os << "null";
 }
 
 }  // namespace
@@ -388,18 +400,10 @@ void write_json(
     const std::vector<std::unique_ptr<telemetry::Collector>>* collectors,
     const std::vector<std::unique_ptr<prof::Profiler>>* profilers,
     const std::vector<std::vector<config::SloOutcome>>* slo) {
-  if (jobs.size() != results.size()) {
-    throw std::invalid_argument("jobs/results size mismatch");
-  }
-  if (collectors && collectors->size() != jobs.size()) {
-    throw std::invalid_argument("jobs/collectors size mismatch");
-  }
-  if (profilers && profilers->size() != jobs.size()) {
-    throw std::invalid_argument("jobs/profilers size mismatch");
-  }
-  if (slo && slo->size() != jobs.size()) {
-    throw std::invalid_argument("jobs/slo size mismatch");
-  }
+  expect_size(jobs, results.size(), "results");
+  if (collectors) expect_size(jobs, collectors->size(), "collectors");
+  if (profilers) expect_size(jobs, profilers->size(), "profilers");
+  if (slo) expect_size(jobs, slo->size(), "slo");
   os << "{\n  \"bench\": \"comet_sim_sweep\",\n  \"results\": [";
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const auto& job = jobs[i];
@@ -425,84 +429,54 @@ void write_json(
     // Every scheduler field lives under one "sched" object (null for
     // legacy runs), so a jq del(.results[].sched) compares a scheduled
     // run against the direct-replay path field for field.
-    if (stats.is_scheduled() && job.controller) {
+    write_nullable(os, "sched", stats.is_scheduled() && job.controller, [&] {
       const auto& c = *job.controller;
-      os << ", \"sched\": {"
-         << "\"policy\": " << json_string(stats.sched_policy)
+      os << "{\"policy\": " << json_string(stats.sched_policy)
          << ", \"read_queue_depth\": " << c.read_queue_depth
          << ", \"write_queue_depth\": " << c.write_queue_depth
          << ", \"drain_high_watermark\": " << c.drain_high_watermark
          << ", \"drain_low_watermark\": " << c.drain_low_watermark;
       write_metrics(os, config::kSchedMetrics.rows, record);
       os << "}";
-    } else {
-      os << ", \"sched\": null";
-    }
+    });
     // Per-tenant fairness block, "sched"-style: null for single-stream
     // runs, so jq del(.results[].tenants) compares the two shapes.
-    if (stats.is_multi_tenant()) {
-      os << ", \"tenants\": {\"mapping\": "
+    write_nullable(os, "tenants", stats.is_multi_tenant(), [&] {
+      os << "{\"mapping\": "
          << json_string(config::tenant_mapping_name(job.tenant_mapping));
       write_metrics(os, config::kTenantMetrics.rows, record);
-      os << ", \"streams\": [";
-      for (std::size_t t = 0; t < stats.tenants.size(); ++t) {
-        const auto& tenant = stats.tenants[t];
-        os << (t ? ", " : "") << "{\"name\": " << json_string(tenant.name);
+      os << ", \"streams\": ";
+      write_array(os, stats.tenants, [&](const auto& tenant) {
+        os << "{\"name\": " << json_string(tenant.name);
         write_metrics(os, config::rows::stream, tenant);
         os << "}";
-      }
-      os << "]}";
-    } else {
-      os << ", \"tenants\": null";
-    }
+      });
+      os << "}";
+    });
     // Telemetry provenance: null when the feature is disabled, so
     // jq del(...) diffs traced against untraced reports cleanly.
-    if (job.telemetry.tracing()) {
-      os << ", \"trace_out\": " << json_string(job.telemetry.trace_path)
-         << ", \"trace_limit\": " << job.telemetry.trace_limit;
-    } else {
-      os << ", \"trace_out\": null, \"trace_limit\": null";
-    }
-    if (job.telemetry.sampling()) {
-      os << ", \"metrics_interval_ns\": "
-         << job.telemetry.metrics_interval_ps / 1000;
-    } else {
-      os << ", \"metrics_interval_ns\": null";
-    }
-    if (!job.telemetry.metrics_csv.empty()) {
-      os << ", \"metrics_csv\": " << json_string(job.telemetry.metrics_csv);
-    } else {
-      os << ", \"metrics_csv\": null";
-    }
+    const auto& spec = job.telemetry;
+    write_nullable(os, "trace_out", spec.tracing(),
+                   [&] { os << json_string(spec.trace_path); });
+    write_nullable(os, "trace_limit", spec.tracing(),
+                   [&] { os << spec.trace_limit; });
+    write_nullable(os, "metrics_interval_ns", spec.sampling(),
+                   [&] { os << spec.metrics_interval_ps / 1000; });
+    write_nullable(os, "metrics_csv", !spec.metrics_csv.empty(),
+                   [&] { os << json_string(spec.metrics_csv); });
     const telemetry::Collector* collector =
         collectors ? (*collectors)[i].get() : nullptr;
-    if (collector) {
-      os << ", \"telemetry\": ";
-      write_telemetry_json(os, *collector);
-    } else {
-      os << ", \"telemetry\": null";
-    }
-    if (collector && job.telemetry.sampling()) {
-      os << ", \"timeline\": ";
-      write_timeline_json(os, *collector);
-    } else {
-      os << ", \"timeline\": null";
-    }
+    write_nullable(os, "telemetry", collector,
+                   [&] { write_telemetry_json(os, *collector); });
+    write_nullable(os, "timeline", collector && spec.sampling(),
+                   [&] { write_timeline_json(os, *collector); });
     // Host profile and SLO verdict, same null contract: --profile off
     // (or a heartbeat/gate-only profiler) keeps "host" null, no
     // --assert-slo keeps "slo" null.
-    if (profiler && job.profile_spec.profiling()) {
-      os << ", \"host\": ";
-      write_host_json(os, *profiler, record);
-    } else {
-      os << ", \"host\": null";
-    }
-    if (slo && !(*slo)[i].empty()) {
-      os << ", \"slo\": ";
-      write_slo_json(os, (*slo)[i]);
-    } else {
-      os << ", \"slo\": null";
-    }
+    write_nullable(os, "host", profiler && job.profile_spec.profiling(),
+                   [&] { write_host_json(os, *profiler, record); });
+    write_nullable(os, "slo", slo && !(*slo)[i].empty(),
+                   [&] { write_slo_json(os, (*slo)[i]); });
     os << "}";
   }
   os << "\n  ]\n}\n";

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "config/metrics.hpp"
@@ -10,22 +11,30 @@
 /// Human tables and machine-readable JSON for comet_sim sweep results.
 namespace comet::driver {
 
-/// Per-run table (one row per device × workload) followed by a per-device
-/// summary averaged over workloads — the Fig. 9 presentation. The summary
-/// keeps the other sweep axes apart: one row per device, channel count,
-/// policy, request count and seed, whose label names an axis only when a
-/// device takes several values of it (e.g. "comet (frfcfs)"). `csv`
-/// switches both tables to CSV.
+/// Each job's row label: its device name plus, in parentheses, each of
+/// policy, channels, requests and seed that some device of the matrix
+/// takes several values of ("COMET-4b (frfcfs)"). Console tables and SLO
+/// violation lines name a record by its label and workload.
+std::vector<std::string> record_labels(const std::vector<SweepJob>& jobs);
+
+/// The console tables: per-run results, a per-label summary averaged
+/// over workloads (Fig. 9, plus mean bandwidth over mean EPB), then the
+/// hybrid-tier, scheduler (with a policy column), tenant-stream and
+/// tenant-fairness breakdowns of the records that measured them. Each
+/// metric column is a `kConsole` row of config/metrics.hpp headed by its
+/// JSON key; integers print in full, doubles as %.6g. `csv` switches
+/// every table to CSV.
 void print_report(std::ostream& os, const std::vector<SweepJob>& jobs,
                   const std::vector<memsim::SimStats>& results, bool csv);
 
-/// "Host profile" tables for the --profile runs: per-record wall time,
-/// throughput, pool utilization and queue pressure, followed by the
-/// per-stage wall-time breakdown. Prints nothing when no record was
-/// profiled (`profilers` null, or no entry with spec().profiling()).
-/// `profilers`, when given, must be indexed like `jobs`.
+/// "Host profile" tables for the --profile runs: the console rows of
+/// the host metrics plus pool utilization and queue pressure, followed
+/// by the per-stage wall-time breakdown. Prints nothing when no record
+/// was profiled (`profilers` null, or no entry with spec().profiling()).
+/// `results` and `profilers` are indexed like `jobs`.
 void print_host_profile(
     std::ostream& os, const std::vector<SweepJob>& jobs,
+    const std::vector<memsim::SimStats>& results,
     const std::vector<std::unique_ptr<prof::Profiler>>* profilers, bool csv);
 
 /// BENCH_fig9.json-style record: `{"bench": "comet_sim_sweep",

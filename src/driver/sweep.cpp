@@ -144,7 +144,7 @@ memsim::SimStats run_job(const SweepJob& job, telemetry::Collector* collector,
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         started)
               .count();
-      profiler->set_run_totals(wall_s, stats.reads + stats.writes);
+      profiler->set_wall_seconds(wall_s);
     }
     return stats;
   };

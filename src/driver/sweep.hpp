@@ -88,8 +88,8 @@ std::vector<SweepJob> build_matrix(const config::ExperimentSpec& spec);
 /// A non-null `collector` is attached to the engine for the run (the
 /// caller builds it from job.telemetry and reads it back afterwards).
 /// A non-null `profiler` is likewise attached and additionally receives
-/// the job's wall time and request total (set_run_totals) when the run
-/// finishes; neither observer changes the simulated stats.
+/// the job's wall time (set_wall_seconds) when the run finishes; neither
+/// observer changes the simulated stats.
 memsim::SimStats run_job(const SweepJob& job,
                          telemetry::Collector* collector = nullptr,
                          prof::Profiler* profiler = nullptr);

@@ -33,16 +33,6 @@ PoolProfile* Profiler::add_pool(std::string stage) {
   return pools_.back().get();
 }
 
-void Profiler::set_run_totals(double wall_s, std::uint64_t requests) {
-  wall_s_ = wall_s;
-  run_requests_ = requests;
-}
-
-double Profiler::requests_per_second() const {
-  if (wall_s_ <= 0.0 || run_requests_ == 0) return 0.0;
-  return static_cast<double>(run_requests_) / wall_s_;
-}
-
 namespace {
 
 /// Reads one "Vm...:  <n> kB" line from /proc/self/status.

@@ -136,15 +136,10 @@ class Profiler {
     return progress_.load(std::memory_order_relaxed);
   }
 
-  /// Whole-job wall time and served request count, set once by the
-  /// sweep worker when the job finishes.
-  void set_run_totals(double wall_s, std::uint64_t requests);
+  /// Whole-job wall time, set once by the sweep worker when the job
+  /// finishes.
+  void set_wall_seconds(double wall_s) { wall_s_ = wall_s; }
   double wall_seconds() const { return wall_s_; }
-  std::uint64_t run_requests() const { return run_requests_; }
-
-  /// Served requests per host second; 0 on a zero-time or zero-request
-  /// run (degenerate runs must not divide by zero).
-  double requests_per_second() const;
 
   // --- Read-back (driver thread, after the run joined).
   const std::map<std::string, StageStats>& stages() const { return stages_; }
@@ -159,7 +154,6 @@ class Profiler {
   std::vector<std::unique_ptr<PoolProfile>> pools_;
   std::atomic<std::uint64_t> progress_{0};
   double wall_s_ = 0.0;
-  std::uint64_t run_requests_ = 0;
 };
 
 /// Scoped stage timer: measures construction to destruction (or stop())

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <ostream>
 #include <string>
+#include <variant>
 
 #include "util/json.hpp"
 
@@ -50,6 +51,9 @@ std::string fmt_double(double v) {
   std::snprintf(buf, sizeof buf, "%.9g", v);
   return buf;
 }
+
+void write_cell(std::ostream& os, std::uint64_t v) { os << v; }
+void write_cell(std::ostream& os, double v) { os << fmt_double(v); }
 
 }  // namespace
 
@@ -162,23 +166,19 @@ void write_chrome_trace(std::ostream& os, const std::vector<TraceRun>& runs) {
 }
 
 void write_timeline_csv(std::ostream& os, const std::vector<TraceRun>& runs) {
-  os << "run,epoch,start_ns,end_ns,reads,writes,bytes,bandwidth_gbps,"
-        "avg_latency_ns,p50_latency_ns,p95_latency_ns,p99_latency_ns,"
-        "avg_read_queue_occupancy,avg_write_queue_occupancy,write_drains,"
-        "drained_writes,admit_stalls,bank_busy_ns\n";
+  os << "run,epoch,start_ns,end_ns";
+  for (const auto& row : kTimelineMetrics) os << ',' << row.key;
+  os << '\n';
   for (const TraceRun& run : runs) {
     if (!run.collector) continue;
     for (const TimelinePoint& p : run.collector->timeline()) {
       os << run.label << ',' << p.epoch << ',' << p.start_ps / 1000 << ','
-         << p.end_ps / 1000 << ',' << p.reads << ',' << p.writes << ','
-         << p.bytes << ',' << fmt_double(p.bandwidth_gbps) << ','
-         << fmt_double(p.avg_latency_ns) << ',' << fmt_double(p.p50_latency_ns)
-         << ',' << fmt_double(p.p95_latency_ns) << ','
-         << fmt_double(p.p99_latency_ns) << ','
-         << fmt_double(p.avg_read_queue_occupancy) << ','
-         << fmt_double(p.avg_write_queue_occupancy) << ',' << p.write_drains
-         << ',' << p.drained_writes << ',' << p.admit_stalls << ','
-         << fmt_double(p.bank_busy_ns) << '\n';
+         << p.end_ps / 1000;
+      for (const auto& row : kTimelineMetrics) {
+        os << ',';
+        std::visit([&](auto get) { write_cell(os, get(p)); }, row.get);
+      }
+      os << '\n';
     }
   }
 }

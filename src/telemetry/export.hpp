@@ -38,8 +38,9 @@ struct TraceRun {
 void write_chrome_trace(std::ostream& os, const std::vector<TraceRun>& runs);
 
 /// Writes every run's merged timeline as one CSV (header + one row per
-/// run × epoch, runs in order, epochs ascending). Columns match the
-/// JSON report's `timeline` objects, prefixed by the run label.
+/// run × epoch, runs in order, epochs ascending): the run label, the
+/// epoch and its bounds in ns, then one column per kTimelineMetrics
+/// row, doubles as %.9g.
 void write_timeline_csv(std::ostream& os, const std::vector<TraceRun>& runs);
 
 }  // namespace comet::telemetry

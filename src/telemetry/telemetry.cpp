@@ -180,29 +180,9 @@ std::vector<TimelinePoint> Collector::timeline() const {
   }
 
   points.reserve(merged.size());
-  for (const auto& [epoch, accum] : merged) {
-    TimelinePoint point;
-    point.epoch = epoch;
-    point.start_ps = epoch * interval;
-    point.end_ps = point.start_ps + interval;
-    point.reads = accum.reads;
-    point.writes = accum.writes;
-    point.bytes = accum.bytes;
-    // bytes / interval: B/ps scaled to GB/s (1 B/ps = 1000 GB/s).
-    point.bandwidth_gbps = static_cast<double>(accum.bytes) * 1000.0 /
-                           static_cast<double>(interval);
-    point.avg_latency_ns = accum.latency_ns.mean();
-    point.p50_latency_ns = accum.latency_ns.p50();
-    point.p95_latency_ns = accum.latency_ns.p95();
-    point.p99_latency_ns = accum.latency_ns.p99();
-    point.avg_read_queue_occupancy = accum.read_queue_occupancy.mean();
-    point.avg_write_queue_occupancy = accum.write_queue_occupancy.mean();
-    point.write_drains = accum.write_drains;
-    point.drained_writes = accum.drained_writes;
-    point.admit_stalls = accum.admit_stalls;
-    point.bank_busy_ns = accum.bank_busy_ns;
-    point.channel_requests = per_channel.at(epoch);
-    points.push_back(std::move(point));
+  for (auto& [epoch, accum] : merged) {
+    points.push_back({std::move(accum), epoch, epoch * interval,
+                      (epoch + 1) * interval, per_channel.at(epoch)});
   }
   return points;
 }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -10,6 +11,7 @@
 // Leaf POD vocabulary header (Op, Request): includes nothing, links
 // nothing, so the link DAG stays telemetry <- memsim.
 #include "memsim/request.hpp"  // comet-lint: allow(layering)
+#include "util/metric.hpp"
 #include "util/stats.hpp"
 
 /// Run-scoped observability: per-request lifecycle events for Chrome
@@ -133,30 +135,56 @@ struct LaneTelemetry {
   std::map<std::uint64_t, EpochAccum> epochs;
 };
 
-/// One merged point of the run's metrics time-series (all stages and
-/// channels of one epoch folded together, stage order then channel
-/// order — the deterministic reduction).
-struct TimelinePoint {
+/// One merged point of the run's metrics time-series: the epoch's
+/// accumulators with all stages and channels folded together, stage
+/// order then channel order (the deterministic reduction).
+struct TimelinePoint : EpochAccum {
   std::uint64_t epoch = 0;  ///< Absolute index: time_ps / interval_ps.
   std::uint64_t start_ps = 0;
   std::uint64_t end_ps = 0;
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t bytes = 0;
-  double bandwidth_gbps = 0.0;
-  double avg_latency_ns = 0.0;
-  double p50_latency_ns = 0.0;
-  double p95_latency_ns = 0.0;
-  double p99_latency_ns = 0.0;
-  double avg_read_queue_occupancy = 0.0;
-  double avg_write_queue_occupancy = 0.0;
-  std::uint64_t write_drains = 0;
-  std::uint64_t drained_writes = 0;
-  std::uint64_t admit_stalls = 0;
-  double bank_busy_ns = 0.0;
   /// Requests completed per channel this epoch, stages concatenated in
   /// creation order, channels in channel order within each stage.
   std::vector<std::uint64_t> channel_requests;
+};
+
+/// Member M of a point, and statistic F (mean, p99, ...) of its
+/// RunningStats member M.
+template <auto M>
+constexpr auto point_field = [](const TimelinePoint& p) { return p.*M; };
+template <auto M, auto F>
+constexpr auto point_dist = [](const TimelinePoint& p) {
+  return std::invoke(F, p.*M);
+};
+
+/// A point's numbers after its epoch index and bounds, in column order:
+/// the JSON report's `timeline` objects and the timeline CSV both walk
+/// this list.
+inline constexpr util::Metric<TimelinePoint> kTimelineMetrics[] = {
+    {"reads", point_field<&EpochAccum::reads>},
+    {"writes", point_field<&EpochAccum::writes>},
+    {"bytes", point_field<&EpochAccum::bytes>},
+    // bytes / interval: B/ps scaled to GB/s (1 B/ps = 1000 GB/s).
+    {"bandwidth_gbps",
+     [](const TimelinePoint& p) {
+       return static_cast<double>(p.bytes) * 1000.0 /
+              static_cast<double>(p.end_ps - p.start_ps);
+     }},
+    {"avg_latency_ns",
+     point_dist<&EpochAccum::latency_ns, &util::RunningStats::mean>},
+    {"p50_latency_ns",
+     point_dist<&EpochAccum::latency_ns, &util::RunningStats::p50>},
+    {"p95_latency_ns",
+     point_dist<&EpochAccum::latency_ns, &util::RunningStats::p95>},
+    {"p99_latency_ns",
+     point_dist<&EpochAccum::latency_ns, &util::RunningStats::p99>},
+    {"avg_read_queue_occupancy",
+     point_dist<&EpochAccum::read_queue_occupancy, &util::RunningStats::mean>},
+    {"avg_write_queue_occupancy",
+     point_dist<&EpochAccum::write_queue_occupancy, &util::RunningStats::mean>},
+    {"write_drains", point_field<&EpochAccum::write_drains>},
+    {"drained_writes", point_field<&EpochAccum::drained_writes>},
+    {"admit_stalls", point_field<&EpochAccum::admit_stalls>},
+    {"bank_busy_ns", point_field<&EpochAccum::bank_busy_ns>},
 };
 
 class Collector;

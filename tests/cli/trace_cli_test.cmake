@@ -7,8 +7,10 @@
 # Covers: missing trace file exits 2 (bad-args class) naming the path;
 # parse errors name the 1-based line number and offending text and exit
 # 1; --dump-trace then --trace-file round-trips through a flat and a
-# hybrid device, emitting valid JSON; a control character in the trace
-# file name is escaped in the JSON report and the Chrome trace.
+# hybrid device, emitting one JSON record labelled by the trace's
+# basename that serves every dumped request (the hybrid one with a
+# nonzero cache hit rate); a control character in the trace file name
+# is escaped in the JSON report and the Chrome trace.
 
 if(NOT DEFINED COMET_SIM OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR "pass -DCOMET_SIM=... and -DWORK_DIR=...")
@@ -71,7 +73,27 @@ foreach(device comet hybrid-comet)
   file(READ ${WORK_DIR}/${device}.json json)
   expect_contains("json ${device}" "${json}" "\"trace_file\": ")
   expect_contains("json ${device}" "${json}" "gen.trace")
+  # One record, labelled by the trace's basename, that served every
+  # dumped request at a nonzero bandwidth.
+  string(JSON records LENGTH "${json}" results)
+  string(JSON workload GET "${json}" results 0 workload)
+  string(JSON reads GET "${json}" results 0 reads)
+  string(JSON writes GET "${json}" results 0 writes)
+  string(JSON bandwidth GET "${json}" results 0 bandwidth_gbps)
+  math(EXPR served "${reads} + ${writes}")
+  if(NOT records EQUAL 1 OR NOT workload STREQUAL "gen.trace" OR
+     NOT served EQUAL 500 OR NOT bandwidth GREATER 0)
+    message(FATAL_ERROR "json ${device}: expected 1 record, workload "
+            "gen.trace, 500 requests and bandwidth > 0; got ${records}, "
+            "${workload}, ${served}, ${bandwidth}")
+  endif()
 endforeach()
+string(JSON hybrid GET "${json}" results 0 hybrid)
+string(JSON hit_rate GET "${json}" results 0 hit_rate)
+if(NOT hybrid OR NOT hit_rate GREATER 0)
+  message(FATAL_ERROR "json hybrid-comet: expected hybrid true and "
+          "hit_rate > 0; got ${hybrid}, ${hit_rate}")
+endif()
 
 # --- 5. --dump-trace without a single workload: exit 2.
 execute_process(

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <optional>
@@ -237,7 +238,7 @@ TEST(SloEval, EveryTableRowIsAReportKeyWithTheGatedValue) {
   profilers.push_back(std::make_unique<pf::Profiler>(job.profile_spec));
   const double wall_s = 0.5;
   const ms::SimStats stats = live_stats();
-  profilers[0]->set_run_totals(wall_s, stats.reads + stats.writes);
+  profilers[0]->set_wall_seconds(wall_s);
 
   std::ostringstream os;
   dr::write_json(os, {job}, {stats}, nullptr, &profilers);
@@ -340,12 +341,18 @@ TEST(ProfSpec, EnabledIsTheUnionOfTheThreeLegs) {
 }
 
 TEST(Profiler, RequestsPerSecondGuardsDegenerateRuns) {
-  pf::Profiler profiler(profiling_spec());
-  EXPECT_EQ(profiler.requests_per_second(), 0.0);
-  profiler.set_run_totals(0.0, 0);
-  EXPECT_EQ(profiler.requests_per_second(), 0.0);
-  profiler.set_run_totals(2.0, 1000);
-  EXPECT_EQ(profiler.requests_per_second(), 500.0);
+  // host.requests_per_s, the one host throughput of the report and the
+  // console, reads 0 on a zero-time run instead of dividing by zero.
+  const auto& row = *std::ranges::find_if(cf::rows::host, [](const auto& r) {
+    return std::string(r.key) == "requests_per_s";
+  });
+  ms::SimStats stats;
+  EXPECT_EQ(row.value(cf::RunRecord{stats, 0.0}), 0.0);
+  EXPECT_EQ(row.value(cf::RunRecord{stats, 2.0}), 0.0);
+  stats.reads = 600;
+  stats.writes = 400;
+  EXPECT_EQ(row.value(cf::RunRecord{stats, 0.0}), 0.0);
+  EXPECT_EQ(row.value(cf::RunRecord{stats, 2.0}), 500.0);
 }
 
 // ------------------------------------------------- degenerate sweeps
@@ -393,9 +400,7 @@ TEST(DegenerateRuns, ZeroAndSingleRequestAcrossEngineShapes) {
                                 std::to_string(requests);
       EXPECT_EQ(stats.reads + stats.writes, requests) << label;
       EXPECT_EQ(profiler.progress(), requests) << label;
-      EXPECT_EQ(profiler.run_requests(), requests) << label;
       EXPECT_GE(profiler.wall_seconds(), 0.0) << label;
-      EXPECT_TRUE(std::isfinite(profiler.requests_per_second())) << label;
 
       // Gating an empty/near-empty record must not divide by zero.
       const auto outcomes =

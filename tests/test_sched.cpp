@@ -9,6 +9,8 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "config/experiment.hpp"
@@ -568,4 +570,51 @@ TEST(SchedReport, SummaryKeepsEachPolicyApart) {
   const std::string& device = jobs[0].device.name;
   EXPECT_EQ(rows[0].rfind(device + " (fcfs),", 0), 0u) << rows[0];
   EXPECT_EQ(rows[1].rfind(device + " (frfcfs),", 0), 0u) << rows[1];
+}
+
+TEST(SchedReport, EveryRecordRowNamesItsMatrixCell) {
+  // A policy axis over a flat and a hybrid device, as in
+  // examples/configs/scheduled_sweep.toml: each per-record table must
+  // tell the records apart by their label and workload cells alone.
+  const std::string text =
+      "[experiment]\n"
+      "devices = [\"comet\", \"hybrid-comet\"]\n"
+      "workloads = [\"mcf_like\", \"lbm_like\"]\n"
+      "requests = 600\n"
+      "\n"
+      "[controller]\n"
+      "policy = [\"fcfs\", \"frfcfs\"]\n";
+  const auto spec = comet::config::parse_experiment(
+      comet::config::toml::parse_string(text, "policies.toml"), nullptr);
+  const auto jobs = comet::driver::build_matrix(spec);
+  ASSERT_EQ(jobs.size(), 8u);
+  const auto results = comet::driver::run_sweep(jobs, 1);
+  std::ostringstream os;
+  comet::driver::print_report(os, jobs, results, /*csv=*/true);
+  const std::string report = os.str();
+
+  for (const auto& [title, records] :
+       {std::pair<std::string, std::size_t>{"Per-run results", 8},
+        {"Hybrid tier breakdown", 4},
+        {"Scheduler breakdown", 8}}) {
+    const std::string heading = "=== " + title + " ===\n";
+    const auto begin = report.find(heading);
+    ASSERT_NE(begin, std::string::npos) << title;
+    std::istringstream table(report.substr(begin + heading.size()));
+    std::string line;
+    std::getline(table, line);  // CSV header.
+    std::vector<std::string> names;
+    while (std::getline(table, line) && !line.empty()) {
+      // The first two cells: the record's label and its workload (the
+      // label holds no comma here, so it is not quoted).
+      const auto label_end = line.find(',');
+      names.push_back(line.substr(0, line.find(',', label_end + 1)));
+    }
+    EXPECT_EQ(names.size(), records) << title;
+    for (std::size_t a = 0; a < names.size(); ++a) {
+      for (std::size_t b = a + 1; b < names.size(); ++b) {
+        EXPECT_NE(names[a], names[b]) << title << ": rows " << a << ", " << b;
+      }
+    }
+  }
 }
