@@ -66,30 +66,6 @@ Phase timed_phase(const std::string& label, int threads, Fn&& fn) {
   return phase;
 }
 
-/// Exact equality on every field that could drift if the sharded merge
-/// diverged from the serial lane reduction.
-bool identical(const ms::SimStats& a, const ms::SimStats& b) {
-  const auto same_dist = [](const comet::util::RunningStats& x,
-                            const comet::util::RunningStats& y) {
-    return x.count() == y.count() && x.mean() == y.mean() &&
-           x.stddev() == y.stddev() && x.min() == y.min() &&
-           x.max() == y.max() && x.sum() == y.sum();
-  };
-  return a.reads == b.reads && a.writes == b.writes &&
-         a.bytes_transferred == b.bytes_transferred &&
-         a.span_ps == b.span_ps &&
-         a.dynamic_energy_pj == b.dynamic_energy_pj &&
-         a.background_energy_pj == b.background_energy_pj &&
-         a.total_bank_busy_ns == b.total_bank_busy_ns &&
-         a.cache_hits == b.cache_hits && a.cache_misses == b.cache_misses &&
-         a.writebacks == b.writebacks &&
-         a.dram_tier_energy_pj == b.dram_tier_energy_pj &&
-         a.backend_tier_energy_pj == b.backend_tier_energy_pj &&
-         same_dist(a.read_latency_ns, b.read_latency_ns) &&
-         same_dist(a.write_latency_ns, b.write_latency_ns) &&
-         same_dist(a.queue_delay_ns, b.queue_delay_ns);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -190,7 +166,7 @@ int main(int argc, char** argv) {
   // (hybrid_serial, hybrid_sharded) — the observer phases after index 4
   // are checked against flat_serial individually below.
   for (std::size_t i = 1; i + 1 < 5; i += 2) {
-    const bool match = identical(phases[i].stats, phases[i + 1].stats);
+    const bool match = phases[i].stats == phases[i + 1].stats;
     std::cout << "\n" << phases[i].label << " vs " << phases[i + 1].label
               << ": " << (match ? "bit-identical" : "MISMATCH");
     ok = ok && match;
@@ -198,7 +174,7 @@ int main(int argc, char** argv) {
   // Observation must not perturb: the instrumented replays reproduce
   // the uninstrumented stats exactly.
   for (const std::size_t observed : {std::size_t{5}, std::size_t{6}}) {
-    const bool match = identical(phases[0].stats, phases[observed].stats);
+    const bool match = phases[0].stats == phases[observed].stats;
     std::cout << "\nflat_serial vs " << phases[observed].label << ": "
               << (match ? "bit-identical" : "MISMATCH");
     ok = ok && match;

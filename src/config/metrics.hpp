@@ -88,6 +88,11 @@ inline constexpr Metric<R> cache[] = {
     {"backend_tier_energy_pj", stat<&S::backend_tier_energy_pj>, kConsole},
 };
 
+/// The scheduler breakdown. queue_delay is the wait in the controller
+/// queue (arrival to issue), service_latency the time from issue to
+/// completion. fcfs issues at arrival, so it reports 0 queue delay and
+/// its whole latency as service; a reordering policy moves bank waits
+/// into its queue. Runs on a policy axis compare on avg_latency_ns.
 inline constexpr Metric<R> sched[] = {
     {"avg_queue_delay_ns", dist<&S::sched_queue_delay_ns, &D::mean>, kConsole},
     {"p95_queue_delay_ns", dist<&S::sched_queue_delay_ns, &D::p95>},

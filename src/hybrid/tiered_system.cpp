@@ -76,9 +76,6 @@ TieredConfig make_tiered_config(const std::string& name,
   return config;
 }
 
-TieredSystem::TieredSystem(TieredConfig config)
-    : TieredSystem(std::move(config), std::nullopt) {}
-
 TieredSystem::TieredSystem(
     TieredConfig config,
     std::optional<sched::ControllerConfig> backend_controller,
@@ -94,11 +91,6 @@ TieredStats TieredSystem::run_tiered(memsim::RequestSource& source,
                                      const std::string& workload_name) const {
   using memsim::Op;
   using memsim::Request;
-
-  TieredStats stats;
-  stats.combined.device_name = config_.name;
-  stats.combined.workload_name = workload_name;
-  stats.combined.hybrid = true;
 
   // Filter the demand stream through the cache tag model, routing the
   // derived traffic straight into one replay lane per tier channel
@@ -142,23 +134,27 @@ TieredStats TieredSystem::run_tiered(memsim::RequestSource& source,
   // realistic demand id space, for traceability.
   std::uint64_t next_id = 1ull << 63;
 
-  auto& c = stats.combined;
+  // What only the filter knows: the demand-level counts (the tiers also
+  // count carry traffic) and the cache outcomes.
+  memsim::SimStats demand;
   std::uint64_t demand_start = 0;
   const auto process_demand = [&](const Request& req, auto& emit) {
-    if (c.reads + c.writes == 0) demand_start = req.arrival_ps;
+    if (demand.reads + demand.writes == 0) demand_start = req.arrival_ps;
 
     const bool is_write = req.op == Op::kWrite;
     if (is_write) {
-      ++c.writes;
+      ++demand.writes;
     } else {
-      ++c.reads;
+      ++demand.reads;
     }
-    c.bytes_transferred += req.size_bytes;
+    demand.bytes_transferred += req.size_bytes;
     // Per-tenant demand counts, at the filter like the totals above, so
-    // they sum to reads + writes (the tiers also count carry traffic).
+    // they sum to reads + writes.
     if (req.tenant != 0) {
-      if (c.tenants.size() < req.tenant) c.tenants.resize(req.tenant);
-      memsim::TenantBreakdown& tenant = c.tenants[req.tenant - 1u];
+      if (demand.tenants.size() < req.tenant) {
+        demand.tenants.resize(req.tenant);
+      }
+      memsim::TenantBreakdown& tenant = demand.tenants[req.tenant - 1u];
       if (is_write) {
         ++tenant.writes;
       } else {
@@ -195,14 +191,14 @@ TieredStats TieredSystem::run_tiered(memsim::RequestSource& source,
           std::max(req.address, line_address));
 
       if (outcome.hit) {
-        ++c.cache_hits;
+        ++demand.cache_hits;
         derive(kDram, req.op, std::max(req.address, line_address), portion,
                req.id);
         continue;
       }
-      ++c.cache_misses;
+      ++demand.cache_misses;
       if (outcome.fill) {
-        ++c.cache_fills;
+        ++demand.cache_fills;
         // The backend supplies the line (the latency path of a read
         // miss; the fetch-on-write of a write-allocate miss) and the
         // DRAM tier absorbs the fill. Installing the fetched line is an
@@ -219,7 +215,7 @@ TieredStats TieredSystem::run_tiered(memsim::RequestSource& source,
                portion, req.id);
       }
       if (outcome.writeback) {
-        ++c.writebacks;
+        ++demand.writebacks;
         derive(kBackend, Op::kWrite, outcome.writeback_address, line_bytes,
                next_id++);
       }
@@ -229,94 +225,71 @@ TieredStats TieredSystem::run_tiered(memsim::RequestSource& source,
   std::vector<memsim::ReplaySlice> slices =
       memsim::run_sharded(std::move(tiers), run_threads_, source, profiler(),
                           "tiers", process_demand);
-  const std::uint64_t dram_first = slices[kDram].first_arrival_ps;
-  const std::uint64_t backend_first = slices[kBackend].first_arrival_ps;
-  const bool dram_served = slices[kDram].fed > 0;
-  const bool backend_served = slices[kBackend].fed > 0;
-  stats.dram = memsim::finalize_slice(std::move(slices[kDram]), config_.dram);
-  stats.backend =
-      memsim::finalize_slice(std::move(slices[kBackend]), config_.backend);
+
+  // Merge the finalized tier replays into the combined demand-level
+  // view, starting from an empty slice: latency distributions (per
+  // tenant too), dynamic energy, bank busy time and a scheduled
+  // backend's controller breakdown (the DRAM tier is always direct, so
+  // there is only one) all reduce by the one merge_slice rule, and the
+  // merged window ends at the last completion of either tier.
+  memsim::ReplaySlice merged;
+  merged.stats.device_name = config_.name;
+  merged.stats.workload_name = workload_name;
+  const memsim::DeviceModel* models[] = {&config_.dram, &config_.backend};
+  for (const std::size_t tier : {kDram, kBackend}) {
+    memsim::ReplaySlice& slice = slices[tier];
+    slice.stats = memsim::finalize_slice(std::move(slice), *models[tier]);
+    memsim::merge_slice(merged, slice);
+  }
 
   // The demand wall-clock: first demand arrival to the last completion
-  // of either tier. Each tier's span is anchored at its own sub-stream's
-  // first arrival, so recover the absolute last-completion instants.
-  std::uint64_t last_completion = demand_start;
-  if (dram_served) {
-    last_completion =
-        std::max(last_completion, dram_first + stats.dram.span_ps);
-  }
-  if (backend_served) {
-    last_completion =
-        std::max(last_completion, backend_first + stats.backend.span_ps);
-  }
+  // of either tier.
+  const std::uint64_t combined_span =
+      std::max(demand_start, merged.last_completion_ps) - demand_start;
 
   // Both tiers are powered for the whole run, but each replay charged
   // its always-on background power over its own (possibly much shorter,
   // possibly empty) sub-stream span only — top it up over the idle
   // remainder. Activity-gated power stays off while idle by definition.
-  const std::uint64_t combined_span = last_completion - demand_start;
+  TieredStats stats;
+  stats.dram = std::move(slices[kDram].stats);
+  stats.backend = std::move(slices[kBackend].stats);
   const auto top_up = [combined_span](memsim::SimStats& tier,
                                       const memsim::DeviceModel& model) {
     tier.background_energy_pj +=
         model.energy.background_power_w *
         static_cast<double>(combined_span - tier.span_ps);
+    return tier.dynamic_energy_pj + tier.background_energy_pj;
   };
-  top_up(stats.dram, config_.dram);
-  top_up(stats.backend, config_.backend);
 
-  // Merge the tier replays into the combined demand-level view. Latency
-  // distributions include the carry traffic (fills, fetches,
-  // writebacks) each tier served; bytes_transferred counts demand bytes
-  // only, so bandwidth and EPB are per *demand* byte/bit while energy
-  // honestly includes the tier-maintenance traffic.
-  c.span_ps = combined_span;
-  c.read_latency_ns = stats.dram.read_latency_ns;
-  c.read_latency_ns.merge(stats.backend.read_latency_ns);
-  c.write_latency_ns = stats.dram.write_latency_ns;
-  c.write_latency_ns.merge(stats.backend.write_latency_ns);
-  c.queue_delay_ns = stats.dram.queue_delay_ns;
-  c.queue_delay_ns.merge(stats.backend.queue_delay_ns);
-  // Per-tenant latency by the same rule. Every derived request carries
-  // a demand tenant, so neither tier knows a tenant the filter did not.
-  for (std::size_t i = 0; i < c.tenants.size(); ++i) {
-    for (const memsim::SimStats* tier : {&stats.dram, &stats.backend}) {
-      if (i < tier->tenants.size()) {
-        c.tenants[i].latency_ns.merge(tier->tenants[i].latency_ns);
-      }
-    }
+  // What the tiers cannot know. Latency distributions include the carry
+  // traffic (fills, fetches, writebacks) each tier served, but
+  // bytes_transferred counts demand bytes only, so bandwidth and EPB
+  // are per *demand* byte/bit while energy honestly includes the
+  // tier-maintenance traffic. Every derived request carries a demand
+  // tenant, so neither tier knows a tenant the filter did not.
+  memsim::SimStats& c = stats.combined;
+  c = std::move(merged.stats);
+  c.hybrid = true;
+  c.reads = demand.reads;
+  c.writes = demand.writes;
+  c.bytes_transferred = demand.bytes_transferred;
+  c.tenants.resize(demand.tenants.size());
+  for (std::size_t i = 0; i < demand.tenants.size(); ++i) {
+    c.tenants[i].reads = demand.tenants[i].reads;
+    c.tenants[i].writes = demand.tenants[i].writes;
+    c.tenants[i].bytes_transferred = demand.tenants[i].bytes_transferred;
   }
-  c.dynamic_energy_pj =
-      stats.dram.dynamic_energy_pj + stats.backend.dynamic_energy_pj;
+  c.cache_hits = demand.cache_hits;
+  c.cache_misses = demand.cache_misses;
+  c.cache_fills = demand.cache_fills;
+  c.writebacks = demand.writebacks;
+  c.span_ps = combined_span;
+  c.dram_tier_energy_pj = top_up(stats.dram, config_.dram);
+  c.backend_tier_energy_pj = top_up(stats.backend, config_.backend);
   c.background_energy_pj =
       stats.dram.background_energy_pj + stats.backend.background_energy_pj;
-  c.total_bank_busy_ns =
-      stats.dram.total_bank_busy_ns + stats.backend.total_bank_busy_ns;
-  c.dram_tier_energy_pj =
-      stats.dram.dynamic_energy_pj + stats.dram.background_energy_pj;
-  c.backend_tier_energy_pj =
-      stats.backend.dynamic_energy_pj + stats.backend.background_energy_pj;
-  // A scheduled backend's controller breakdown surfaces on the combined
-  // view (the DRAM tier is always direct, so there is only one).
-  if (stats.backend.is_scheduled()) {
-    c.scheduled = true;
-    c.sched_policy = stats.backend.sched_policy;
-    c.sched_queue_delay_ns = stats.backend.sched_queue_delay_ns;
-    c.service_latency_ns = stats.backend.service_latency_ns;
-    c.read_queue_occupancy = stats.backend.read_queue_occupancy;
-    c.write_queue_occupancy = stats.backend.write_queue_occupancy;
-    c.write_drains = stats.backend.write_drains;
-    c.drained_writes = stats.backend.drained_writes;
-    c.drain_stalls = stats.backend.drain_stalls;
-    c.admit_stalls = stats.backend.admit_stalls;
-  }
   return stats;
-}
-
-TieredStats TieredSystem::run_tiered(
-    const std::vector<memsim::Request>& requests,
-    const std::string& workload_name) const {
-  memsim::VectorSource source(requests);
-  return run_tiered(source, workload_name);
 }
 
 memsim::SimStats TieredSystem::run(memsim::RequestSource& source,

@@ -69,15 +69,14 @@ TieredConfig make_tiered_config(const std::string& name,
 
 class TieredSystem final : public memsim::Engine {
  public:
-  explicit TieredSystem(TieredConfig config);  ///< Validates the config.
-
-  /// With a backend controller: the miss/fetch/writeback stream the
-  /// cache filter derives is routed through a sched::Controller (its
+  /// Without a backend controller the backend replays its stream
+  /// directly. With one, the miss/fetch/writeback stream the cache
+  /// filter derives is routed through a sched::Controller (its
   /// transaction queues and policy) in front of the backend replay,
   /// instead of straight into it — the tier where OPCM's asymmetric
   /// write latency actually bites. The DRAM tier stays direct. The
   /// combined stats then carry the scheduler breakdown of the backend.
-  /// Validates both configs.
+  /// Validates the tiered config and any backend controller config.
   ///
   /// Every run replays two tiers through memsim::run_sharded, one pool
   /// "tiers": the DRAM tier's per-channel ReplaySession lanes, then the
@@ -91,9 +90,10 @@ class TieredSystem final : public memsim::Engine {
   /// direct replay, which is always serial because one session per
   /// request costs too little for lane hand-off to pay, the two tiers
   /// together carry enough work per demand request to gain from it.
-  TieredSystem(TieredConfig config,
-               std::optional<sched::ControllerConfig> backend_controller,
-               int run_threads = 1);
+  explicit TieredSystem(
+      TieredConfig config,
+      std::optional<sched::ControllerConfig> backend_controller = std::nullopt,
+      int run_threads = 1);
 
   /// Streams the demand source (which must yield requests sorted by
   /// arrival time; throws std::invalid_argument naming the offending
@@ -102,10 +102,6 @@ class TieredSystem final : public memsim::Engine {
   /// concurrent sweeps over the same TieredSystem are bit-identical to
   /// serial ones.
   TieredStats run_tiered(memsim::RequestSource& source,
-                         const std::string& workload_name = "") const;
-
-  /// Materialized-vector adapter for run_tiered.
-  TieredStats run_tiered(const std::vector<memsim::Request>& requests,
                          const std::string& workload_name = "") const;
 
   using Engine::run;

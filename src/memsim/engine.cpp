@@ -19,7 +19,8 @@ telemetry::Recorder* Engine::telemetry_stage(
   if (!telemetry_) return nullptr;
   return telemetry_->add_stage(
       std::move(name), timing.channels, timing.banks_per_channel,
-      event_budget.value_or(telemetry_->spec().event_budget()));
+      event_budget.value_or(telemetry_->spec().event_budget()),
+      timing.line_striped_across_banks ? timing.banks_per_channel : 1);
 }
 
 }  // namespace comet::memsim

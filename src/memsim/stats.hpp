@@ -33,6 +33,8 @@ struct TenantBreakdown {
                ? 0.0
                : latency_ns.sum() / static_cast<double>(latency_ns.count());
   }
+
+  bool operator==(const TenantBreakdown&) const = default;
 };
 
 struct SimStats {
@@ -122,6 +124,10 @@ struct SimStats {
   /// Fig. 9c metric: bandwidth per unit energy-per-bit
   /// [(GB/s) / (pJ/bit)].
   double bw_per_epb() const;
+
+  /// Exact equality of every field, distributions bucket for bucket:
+  /// what the bit-identity gates compare.
+  bool operator==(const SimStats&) const = default;
 };
 
 }  // namespace comet::memsim

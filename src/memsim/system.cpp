@@ -11,36 +11,18 @@
 namespace comet::memsim {
 namespace {
 
-/// Per-channel statistics lane. Every per-request accumulation is
-/// channel-local; finish_slice() merges the lanes in channel order.
-/// This is what the sharded engine's bit-identity rests on: a session
-/// fed only channel k's requests populates exactly this lane (its other
-/// lanes stay empty, and empty-side RunningStats merges are exact), so
-/// merging shard slices in channel order performs the same reduction,
-/// operand for operand, as the serial session's own lane merge.
-struct LaneTotals {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t first_arrival = 0;
-  std::uint64_t last_completion = 0;
-  util::RunningStats read_latency_ns;
-  util::RunningStats write_latency_ns;
-  util::RunningStats queue_delay_ns;
-  double dynamic_energy_pj = 0.0;
-  double total_bank_busy_ns = 0.0;
-  /// Per-tenant accumulation follows the same lane discipline: indexed
-  /// tenant-1, grown on demand, and only ever touched for tagged
-  /// requests — untagged runs never allocate. merge_slice() reduces the
-  /// vectors element-wise, so sharded tenant stats stay bit-identical.
-  std::vector<TenantBreakdown> tenants;
-};
-
 struct ChannelState {
   std::vector<BankState> banks;
   util::RingQueue<std::uint64_t> inflight_completions;
   std::uint64_t prev_issue = 0;
-  LaneTotals totals;
+  /// This channel's statistics lane. Every per-request accumulation is
+  /// channel-local; finish_slice() merges the lanes in channel order.
+  /// This is what the sharded engine's bit-identity rests on: a session
+  /// fed only channel k's requests populates exactly this lane (its
+  /// other lanes stay empty, and empty-side merges are exact), so
+  /// merging shard slices in channel order performs the same reduction,
+  /// operand for operand, as the serial session's own lane merge.
+  ReplaySlice lane;
 };
 
 /// Controller address hash (NVMain-style bank/channel interleaving):
@@ -179,18 +161,16 @@ SimStats finalize_slice(ReplaySlice slice, const DeviceModel& model) {
 struct ReplaySession::Impl {
   const MemorySystem& system;
   telemetry::Recorder* const telemetry;  ///< Null on untraced runs.
-  SimStats stats;  ///< Carries only the names until finish_slice().
+  std::string workload_name;
   std::vector<ChannelState> channels;
   std::uint64_t fed = 0;
   std::uint64_t prev_arrival = 0;
   bool finished = false;
 
-  Impl(const MemorySystem& sys, std::string workload_name,
+  Impl(const MemorySystem& sys, std::string workload,
        telemetry::Recorder* recorder)
-      : system(sys), telemetry(recorder) {
+      : system(sys), telemetry(recorder), workload_name(std::move(workload)) {
     const DeviceTiming& t = sys.model_.timing;
-    stats.device_name = sys.model_.name;
-    stats.workload_name = std::move(workload_name);
     channels.resize(static_cast<std::size_t>(t.channels));
     for (auto& ch : channels) {
       ch.banks.resize(static_cast<std::size_t>(t.banks_per_channel));
@@ -213,7 +193,7 @@ struct ReplaySession::Impl {
     // Issue order is a per-channel contract (see feed_issued): replay
     // state is channel-local, and a controller with independent
     // per-channel issue clocks may interleave channels arbitrarily.
-    if (check_issue_order && (ch.totals.reads | ch.totals.writes) != 0 &&
+    if (check_issue_order && ch.lane.fed != 0 &&
         issue_ps < ch.prev_issue) {
       throw std::logic_error(
           "ReplaySession: scheduler issued requests out of order");
@@ -278,36 +258,40 @@ struct ReplaySession::Impl {
     }
     ch.inflight_completions.push_back(completion);
 
-    // Statistics (all channel-local: see LaneTotals).
-    LaneTotals& lane = ch.totals;
+    // Statistics (all channel-local: see ChannelState::lane).
+    ReplaySlice& lane = ch.lane;
+    SimStats& stats = lane.stats;
     const double latency_ns =
         static_cast<double>(completion - req.arrival_ps) * 1e-3;
     const double queue_ns =
         static_cast<double>(start - req.arrival_ps) * 1e-3;
     const double bits = static_cast<double>(req.size_bytes) * 8.0;
-    if ((lane.reads | lane.writes) == 0) {
-      lane.first_arrival = req.arrival_ps;
-    } else {
-      lane.first_arrival = std::min(lane.first_arrival, req.arrival_ps);
-    }
-    lane.queue_delay_ns.add(queue_ns);
-    lane.total_bank_busy_ns +=
+    lane.first_arrival_ps = lane.fed == 0
+                                ? req.arrival_ps
+                                : std::min(lane.first_arrival_ps,
+                                           req.arrival_ps);
+    ++lane.fed;
+    stats.queue_delay_ns.add(queue_ns);
+    stats.total_bank_busy_ns +=
         static_cast<double>(bank_busy_until - start) * 1e-3 *
         (t.line_striped_across_banks ? t.banks_per_channel : 1);
     if (req.op == Op::kRead) {
-      ++lane.reads;
-      lane.read_latency_ns.add(latency_ns);
-      lane.dynamic_energy_pj += bits * model.energy.read_pj_per_bit;
+      ++stats.reads;
+      stats.read_latency_ns.add(latency_ns);
+      stats.dynamic_energy_pj += bits * model.energy.read_pj_per_bit;
     } else {
-      ++lane.writes;
-      lane.write_latency_ns.add(latency_ns);
-      lane.dynamic_energy_pj += bits * model.energy.write_pj_per_bit;
+      ++stats.writes;
+      stats.write_latency_ns.add(latency_ns);
+      stats.dynamic_energy_pj += bits * model.energy.write_pj_per_bit;
     }
-    lane.bytes += req.size_bytes;
-    lane.last_completion = std::max(lane.last_completion, completion);
+    stats.bytes_transferred += req.size_bytes;
+    lane.last_completion_ps = std::max(lane.last_completion_ps, completion);
+    // Per-tenant accumulation follows the same lane discipline: indexed
+    // tenant-1, grown on demand, and only ever touched for tagged
+    // requests, so untagged runs never allocate.
     if (req.tenant != 0) {
-      if (lane.tenants.size() < req.tenant) lane.tenants.resize(req.tenant);
-      TenantBreakdown& tenant = lane.tenants[req.tenant - 1u];
+      if (stats.tenants.size() < req.tenant) stats.tenants.resize(req.tenant);
+      TenantBreakdown& tenant = stats.tenants[req.tenant - 1u];
       if (req.op == Op::kRead) {
         ++tenant.reads;
       } else {
@@ -337,23 +321,9 @@ struct ReplaySession::Impl {
   ReplaySlice finish_slice() {
     finished = true;
     ReplaySlice merged;
-    merged.stats = std::move(stats);
-    for (const auto& ch : channels) {
-      ReplaySlice lane;
-      lane.fed = ch.totals.reads + ch.totals.writes;
-      lane.first_arrival_ps = ch.totals.first_arrival;
-      lane.last_completion_ps = ch.totals.last_completion;
-      lane.stats.reads = ch.totals.reads;
-      lane.stats.writes = ch.totals.writes;
-      lane.stats.bytes_transferred = ch.totals.bytes;
-      lane.stats.read_latency_ns = ch.totals.read_latency_ns;
-      lane.stats.write_latency_ns = ch.totals.write_latency_ns;
-      lane.stats.queue_delay_ns = ch.totals.queue_delay_ns;
-      lane.stats.dynamic_energy_pj = ch.totals.dynamic_energy_pj;
-      lane.stats.total_bank_busy_ns = ch.totals.total_bank_busy_ns;
-      lane.stats.tenants = ch.totals.tenants;
-      merge_slice(merged, lane);
-    }
+    merged.stats.device_name = system.model_.name;
+    merged.stats.workload_name = std::move(workload_name);
+    for (const auto& ch : channels) merge_slice(merged, ch.lane);
     return merged;
   }
 };
@@ -393,8 +363,6 @@ std::uint64_t ReplaySession::feed_issued(const Request& request,
 std::span<const BankState> ReplaySession::banks(int channel) const {
   return impl_->channels[static_cast<std::size_t>(channel)].banks;
 }
-
-std::uint64_t ReplaySession::fed() const { return impl_->fed; }
 
 SimStats ReplaySession::finish() {
   if (impl_->finished) {

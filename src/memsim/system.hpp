@@ -194,9 +194,6 @@ class ReplaySession final : public ShardLane {
   /// The banks of `channel` as the requests fed so far left them.
   std::span<const BankState> banks(int channel) const;
 
-  /// Number of requests fed so far.
-  std::uint64_t fed() const;
-
   /// Closes the run: charges span-proportional background energy and
   /// returns the statistics. May be called once; throws std::logic_error
   /// on a second call. Equivalent to finalize_slice(finish_slice()).

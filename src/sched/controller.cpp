@@ -119,7 +119,6 @@ struct QueuedTx {
 }  // namespace
 
 struct Controller::Impl {
-  const memsim::MemorySystem& system;
   const memsim::DeviceTiming& timing;
   const ControllerConfig config;
   telemetry::Recorder* const telemetry;  ///< Null = no observability cost.
@@ -180,17 +179,10 @@ struct Controller::Impl {
     /// still match the serial controller decision for decision. The
     /// session's issue-sorted contract is per-channel to match.
     std::uint64_t last_issue = 0;
-    // Per-channel scheduler statistics, merged in channel order at
-    // finish — the same lane discipline as the replay session itself
-    // (see memsim::ReplaySlice), and for the same reason.
-    util::RunningStats queue_delay_ns;
-    util::RunningStats service_ns;
-    util::RunningStats read_occupancy;
-    util::RunningStats write_occupancy;
-    std::uint64_t write_drains = 0;
-    std::uint64_t drained_writes = 0;
-    std::uint64_t drain_stalls = 0;
-    std::uint64_t admit_stalls = 0;
+    /// The channel's scheduler breakdown, merged in channel order by
+    /// finish_slice — the same lane discipline as the replay session itself
+    /// (see memsim::ReplaySlice), and for the same reason.
+    memsim::SimStats stats;
   };
   std::vector<Channel> channels;
 
@@ -201,8 +193,7 @@ struct Controller::Impl {
 
   Impl(const memsim::MemorySystem& sys, const ControllerConfig& cfg,
        std::string workload_name, telemetry::Recorder* recorder)
-      : system(sys),
-        timing(sys.model().timing),
+      : timing(sys.model().timing),
         config(cfg),
         telemetry(recorder),
         session(sys, std::move(workload_name), recorder) {
@@ -332,7 +323,7 @@ struct Controller::Impl {
     if (!ch.draining) {
       if (static_cast<int>(ch.writes.size()) >= config.drain_high_watermark) {
         ch.draining = true;
-        ++ch.write_drains;
+        ++ch.stats.write_drains;
         if (telemetry) {
           telemetry->record_mark(ch.index, telemetry::MarkKind::kDrainBegin,
                                  at_ps);
@@ -404,14 +395,15 @@ struct Controller::Impl {
     ch.last_issue = issue_ps;
     const std::uint64_t completion_ps =
         session.feed_issued(tx.request, issue_ps);
-    ch.queue_delay_ns.add(
+    ch.stats.sched_queue_delay_ns.add(
         static_cast<double>(issue_ps - tx.request.arrival_ps) * 1e-3);
-    ch.service_ns.add(static_cast<double>(completion_ps - issue_ps) * 1e-3);
+    ch.stats.service_latency_ns.add(
+        static_cast<double>(completion_ps - issue_ps) * 1e-3);
 
     if (from_writes && ch.draining) {
-      ++ch.drained_writes;
+      ++ch.stats.drained_writes;
       if (telemetry) telemetry->record_drained_write(ch.index, issue_ps);
-      if (!ch.reads.empty()) ++ch.drain_stalls;
+      if (!ch.reads.empty()) ++ch.stats.drain_stalls;
     }
     admit_overflow(ch, from_writes, issue_ps);
     update_drain(ch, issue_ps);
@@ -468,8 +460,8 @@ struct Controller::Impl {
     auto& ch = channels[static_cast<std::size_t>(tx.placement.channel)];
     const bool is_write = req.op == memsim::Op::kWrite;
     // The queue state each arrival observes (before joining it).
-    ch.read_occupancy.add(static_cast<double>(ch.reads.size()));
-    ch.write_occupancy.add(static_cast<double>(ch.writes.size()));
+    ch.stats.read_queue_occupancy.add(static_cast<double>(ch.reads.size()));
+    ch.stats.write_queue_occupancy.add(static_cast<double>(ch.writes.size()));
     if (telemetry) {
       telemetry->record_queue_sample(ch.index, req.arrival_ps,
                                      ch.reads.size(), ch.writes.size());
@@ -490,7 +482,7 @@ struct Controller::Impl {
         is_write ? config.write_queue_depth : config.read_queue_depth;
     if (depth > 0 &&
         (static_cast<int>(q.size()) >= depth || !stalled.empty())) {
-      ++ch.admit_stalls;
+      ++ch.stats.admit_stalls;
       if (telemetry) {
         telemetry->record_mark(ch.index, telemetry::MarkKind::kAdmitStall,
                                req.arrival_ps);
@@ -516,17 +508,8 @@ struct Controller::Impl {
     // that saw only channel k's traffic produces exactly channel k's
     // accumulators, so merging shard slices in channel order is the
     // same reduction.
-    for (const auto& ch : channels) {
-      memsim::ReplaySlice lane;
-      lane.stats.sched_queue_delay_ns = ch.queue_delay_ns;
-      lane.stats.service_latency_ns = ch.service_ns;
-      lane.stats.read_queue_occupancy = ch.read_occupancy;
-      lane.stats.write_queue_occupancy = ch.write_occupancy;
-      lane.stats.write_drains = ch.write_drains;
-      lane.stats.drained_writes = ch.drained_writes;
-      lane.stats.drain_stalls = ch.drain_stalls;
-      lane.stats.admit_stalls = ch.admit_stalls;
-      memsim::merge_slice(slice, lane);
+    for (auto& ch : channels) {
+      memsim::merge_slice(slice, {.stats = std::move(ch.stats)});
     }
     return slice;
   }
@@ -546,22 +529,14 @@ Controller::~Controller() = default;
 
 void Controller::feed(const memsim::Request& request) {
   if (impl_->finished) {
-    throw std::logic_error("sched::Controller: feed() after finish()");
+    throw std::logic_error("sched::Controller: feed() after finish_slice()");
   }
   impl_->feed(request);
 }
 
-memsim::SimStats Controller::finish() {
-  if (impl_->finished) {
-    throw std::logic_error("sched::Controller: finish() called twice");
-  }
-  return memsim::finalize_slice(impl_->finish_slice(),
-                                impl_->system.model());
-}
-
 memsim::ReplaySlice Controller::finish_slice() {
   if (impl_->finished) {
-    throw std::logic_error("sched::Controller: finish() called twice");
+    throw std::logic_error("sched::Controller: finish_slice() called twice");
   }
   return impl_->finish_slice();
 }

@@ -137,13 +137,14 @@ struct ControllerConfig {
 /// ReplaySession of the scheduler world. feed() admits demand requests
 /// in arrival order; the controller queues, reorders and issues them
 /// into an internal ReplaySession (in issue order, via feed_issued),
-/// arbitrating on that session's bank state, and finish() drains every
-/// queue and returns the statistics with the scheduler breakdown filled
-/// in. As a ShardLane it is the per-channel lane of a sharded scheduled
-/// replay: fed only one channel's subsequence, it reproduces the full
-/// controller's per-channel behaviour decision for decision, because
-/// scheduling decisions, issue clocks and every scheduler statistic are
-/// channel-local. The MemorySystem must outlive the controller.
+/// arbitrating on that session's bank state, and finish_slice() drains
+/// every queue and returns the slice with the scheduler breakdown
+/// filled in. As a ShardLane it is the per-channel lane of a sharded
+/// scheduled replay: fed only one channel's subsequence, it reproduces
+/// the full controller's per-channel behaviour decision for decision,
+/// because scheduling decisions, issue clocks and every scheduler
+/// statistic are channel-local. The MemorySystem must outlive the
+/// controller.
 class Controller final : public memsim::ShardLane {
  public:
   /// Validates the config. `telemetry`, when non-null, receives one
@@ -161,18 +162,16 @@ class Controller final : public memsim::ShardLane {
   ~Controller() override;
 
   /// Admits one demand request. Throws std::invalid_argument if it
-  /// arrives before its predecessor, std::logic_error after finish().
+  /// arrives before its predecessor, std::logic_error after
+  /// finish_slice().
   void feed(const memsim::Request& request) override;
 
-  /// Drains every queue, closes the run and returns the statistics.
-  /// May be called once; throws std::logic_error on a second call.
-  /// Equivalent to memsim::finalize_slice(finish_slice()).
-  memsim::SimStats finish();
-
-  /// Closes the run without finalizing: the session's slice with the
-  /// scheduler breakdown merged in (per-channel accumulators, channel
-  /// order — the same reduction a sharded merge performs). Same
-  /// once-only contract as finish().
+  /// Drains every queue and closes the run without finalizing: the
+  /// session's slice with the scheduler breakdown merged in
+  /// (per-channel lanes, channel order — the same reduction a sharded
+  /// merge performs); memsim::finalize_slice turns it into the run's
+  /// statistics. May be called once; throws std::logic_error on a
+  /// second call.
   memsim::ReplaySlice finish_slice() override;
 
  private:

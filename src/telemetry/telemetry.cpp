@@ -27,9 +27,10 @@ void EpochAccum::merge(const EpochAccum& other) {
 }
 
 Recorder::Recorder(const TelemetrySpec& spec, std::string name, int channels,
-                   int banks, std::uint64_t event_budget)
+                   int banks, std::uint64_t event_budget, int busy_banks)
     : name_(std::move(name)),
       banks_(banks),
+      busy_banks_(busy_banks),
       trace_(spec.tracing()),
       sample_(spec.sampling()),
       interval_ps_(spec.metrics_interval_ps) {
@@ -71,7 +72,8 @@ void Recorder::record_request(int channel, const RequestEvent& event) {
     }
     epoch.bytes += event.size_bytes;
     epoch.bank_busy_ns +=
-        static_cast<double>(event.bank_busy_until_ps - event.start_ps) * 1e-3;
+        static_cast<double>(event.bank_busy_until_ps - event.start_ps) * 1e-3 *
+        busy_banks_;
     epoch.latency_ns.add(
         static_cast<double>(event.completion_ps - event.arrival_ps) * 1e-3);
   }
@@ -130,9 +132,9 @@ Collector::Collector(TelemetrySpec spec) : spec_(std::move(spec)) {
 Collector::~Collector() = default;
 
 Recorder* Collector::add_stage(std::string name, int channels, int banks,
-                               std::uint64_t event_budget) {
-  stages_.push_back(std::unique_ptr<Recorder>(
-      new Recorder(spec_, std::move(name), channels, banks, event_budget)));
+                               std::uint64_t event_budget, int busy_banks) {
+  stages_.push_back(std::unique_ptr<Recorder>(new Recorder(
+      spec_, std::move(name), channels, banks, event_budget, busy_banks)));
   return stages_.back().get();
 }
 

@@ -214,10 +214,11 @@ class Recorder {
  private:
   friend class Collector;
   Recorder(const TelemetrySpec& spec, std::string name, int channels,
-           int banks, std::uint64_t event_budget);
+           int banks, std::uint64_t event_budget, int busy_banks);
 
   std::string name_;
   int banks_ = 0;
+  int busy_banks_ = 1;  ///< Banks one request occupies (see add_stage).
   bool trace_ = false;
   bool sample_ = false;
   std::uint64_t interval_ps_ = 0;
@@ -245,9 +246,12 @@ class Collector {
   /// is this stage's share of the spec's event_budget()
   /// (kUnlimitedEvents = no cap), spread over the channels so the
   /// per-lane caps sum to it exactly; a lane whose cap is 0 stores no
-  /// events but still counts its drops.
+  /// events but still counts its drops. `busy_banks` is how many banks
+  /// one request occupies — every bank of the channel on a device whose
+  /// lines stripe across banks — so the timeline's bank_busy_ns sums to
+  /// the run's total_bank_busy_ns.
   Recorder* add_stage(std::string name, int channels, int banks,
-                      std::uint64_t event_budget);
+                      std::uint64_t event_budget, int busy_banks);
 
   const std::vector<std::unique_ptr<Recorder>>& stages() const {
     return stages_;

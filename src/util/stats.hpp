@@ -40,6 +40,9 @@ class RunningStats {
   double p95() const { return percentile(0.95); }
   double p99() const { return percentile(0.99); }
 
+  /// Exact equality of the whole state, histogram included.
+  bool operator==(const RunningStats&) const = default;
+
  private:
   std::uint64_t n_ = 0;
   double mean_ = 0.0;

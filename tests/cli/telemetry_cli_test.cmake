@@ -3,6 +3,7 @@
 #
 #   cmake -DCOMET_SIM=<path to comet_sim> -DWORK_DIR=<scratch dir>
 #         -DPYTHON=<python3> -DVALIDATOR=<repo>/scripts/validate_trace.py
+#         -DEXAMPLES_DIR=<repo>/examples/configs
 #         -P telemetry_cli_test.cmake
 #
 # Covers the ISSUE acceptance loop: a scheduled run with --trace-out +
@@ -12,12 +13,15 @@
 # without telemetry flags produces bit-identical results. Plus the
 # truncation record under --trace-limit, the timeline CSV, the
 # [telemetry] --dump-config round-trip, --list-policies, the
-# flag-dependency diagnostics, and the two-stage hybrid stack.
+# flag-dependency diagnostics, the two-stage hybrid stack, and the flat
+# smoke: a 1 µs-epoch frfcfs trace, a 64-event capped trace and the
+# committed telemetry_sweep.toml expanding through --dump-config.
 
 if(NOT DEFINED COMET_SIM OR NOT DEFINED WORK_DIR OR NOT DEFINED PYTHON
-   OR NOT DEFINED VALIDATOR)
+   OR NOT DEFINED VALIDATOR OR NOT DEFINED EXAMPLES_DIR)
   message(FATAL_ERROR
-          "pass -DCOMET_SIM=..., -DWORK_DIR=..., -DPYTHON=... and -DVALIDATOR=...")
+          "pass -DCOMET_SIM=..., -DWORK_DIR=..., -DPYTHON=..., -DVALIDATOR=... "
+          "and -DEXAMPLES_DIR=...")
 endif()
 file(MAKE_DIRECTORY ${WORK_DIR})
 
@@ -219,5 +223,51 @@ print('hybrid telemetry OK:', len(timeline), 'epochs,', total, 'requests')
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "hybrid telemetry checks failed:\n${out}\n${err}")
 endif()
+
+# --- 10. The flat smoke: a single-stage frfcfs trace at a 1 µs epoch
+# ---     whose timeline sums to the run's reads+writes exactly, a trace
+# ---     capped at 64 events carrying the truncation record, and the
+# ---     committed traced-sweep example expanding through --dump-config.
+execute_process(
+  COMMAND ${COMET_SIM} --device comet --workload gcc_like --requests 5000
+          --schedule frfcfs --trace-out ${WORK_DIR}/flat_trace.json
+          --metrics-interval 1000 --json ${WORK_DIR}/flat_telemetry.json
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+expect_rc("flat traced run" "${rc}" 0)
+execute_process(
+  COMMAND ${PYTHON} ${VALIDATOR} ${WORK_DIR}/flat_trace.json --min-events 5000
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+expect_rc("validate flat trace" "${rc}" 0)
+execute_process(
+  COMMAND ${PYTHON} -c "
+import json, sys
+record = json.load(open(sys.argv[1]))['results'][0]
+total = sum(p['reads'] + p['writes'] for p in record['timeline'])
+expected = record['reads'] + record['writes']
+assert total == expected, f'timeline sums to {total}, run has {expected}'
+print('flat timeline OK:', total, 'requests')
+" ${WORK_DIR}/flat_telemetry.json
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "flat timeline reconciliation failed:\n${out}\n${err}")
+endif()
+execute_process(
+  COMMAND ${COMET_SIM} --device comet --workload gcc_like --requests 5000
+          --trace-out ${WORK_DIR}/capped_trace.json --trace-limit 64
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+expect_rc("flat capped run" "${rc}" 0)
+execute_process(
+  COMMAND ${PYTHON} ${VALIDATOR} ${WORK_DIR}/capped_trace.json
+          --expect-truncated
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+expect_rc("validate flat capped trace" "${rc}" 0)
+execute_process(
+  COMMAND ${COMET_SIM} --config ${EXAMPLES_DIR}/telemetry_sweep.toml
+          --dump-config ${WORK_DIR}/resolved_telemetry.toml
+  WORKING_DIRECTORY ${WORK_DIR}
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+expect_rc("telemetry_sweep.toml --dump-config" "${rc}" 0)
+file(READ ${WORK_DIR}/resolved_telemetry.toml resolved_text)
+expect_contains("resolved telemetry_sweep" "${resolved_text}" "[telemetry]")
 
 message(STATUS "telemetry CLI checks passed")

@@ -1,7 +1,9 @@
 #pragma once
 
-// Exact comparison of two SimStats, shared by the bit-identity gates
-// (sharded vs serial, profiled vs unprofiled, traced vs untraced).
+// Exact comparison of two SimStats, shared by every bit-identity gate
+// (sharded vs serial, threaded vs serial sweeps, streamed vs
+// materialized, profiled vs unprofiled, traced vs untraced, config
+// round trips).
 
 #include <gtest/gtest.h>
 
@@ -31,7 +33,9 @@ inline void expect_same_distribution(const util::RunningStats& x,
 /// Exact comparison of every SimStats field: names, counters, every
 /// latency distribution, the energies and the hybrid, scheduler and
 /// tenant breakdowns. Any drift — a reordered merge, a lost request, a
-/// float-summation order change — fails here.
+/// float-summation order change — fails here. The per-field checks name
+/// what drifted; the closing whole-struct `a == b` (histograms bucket
+/// for bucket) also covers any field added after them.
 inline void expect_identical(const memsim::SimStats& a,
                              const memsim::SimStats& b,
                              const std::string& label) {
@@ -83,6 +87,7 @@ inline void expect_identical(const memsim::SimStats& a,
   }
   EXPECT_EQ(a.max_slowdown, b.max_slowdown) << label;
   EXPECT_EQ(a.fairness_index, b.fairness_index) << label;
+  EXPECT_TRUE(a == b) << label;
 }
 
 }  // namespace comet::test_support

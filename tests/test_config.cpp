@@ -20,6 +20,7 @@
 #include "driver/options.hpp"
 #include "driver/registry.hpp"
 #include "driver/sweep.hpp"
+#include "sim_stats_equal.hpp"
 
 namespace {
 
@@ -29,6 +30,7 @@ using comet::config::parse_device;
 using comet::config::parse_workload;
 using comet::driver::make_device_spec;
 using comet::driver::registry_resolver;
+using comet::test_support::expect_identical;
 namespace toml = comet::config::toml;
 
 // --- Parser --------------------------------------------------------------
@@ -124,25 +126,6 @@ comet::memsim::SimStats probe(const DeviceSpec& spec) {
   return comet::driver::run_job(job);
 }
 
-void expect_same_stats(const comet::memsim::SimStats& a,
-                       const comet::memsim::SimStats& b,
-                       const std::string& label) {
-  EXPECT_EQ(a.reads, b.reads) << label;
-  EXPECT_EQ(a.writes, b.writes) << label;
-  EXPECT_EQ(a.bytes_transferred, b.bytes_transferred) << label;
-  EXPECT_EQ(a.span_ps, b.span_ps) << label;
-  EXPECT_EQ(a.read_latency_ns.mean(), b.read_latency_ns.mean()) << label;
-  EXPECT_EQ(a.write_latency_ns.mean(), b.write_latency_ns.mean()) << label;
-  EXPECT_EQ(a.queue_delay_ns.mean(), b.queue_delay_ns.mean()) << label;
-  EXPECT_EQ(a.dynamic_energy_pj, b.dynamic_energy_pj) << label;
-  EXPECT_EQ(a.background_energy_pj, b.background_energy_pj) << label;
-  EXPECT_EQ(a.cache_hits, b.cache_hits) << label;
-  EXPECT_EQ(a.cache_misses, b.cache_misses) << label;
-  EXPECT_EQ(a.writebacks, b.writebacks) << label;
-  EXPECT_EQ(a.dram_tier_energy_pj, b.dram_tier_energy_pj) << label;
-  EXPECT_EQ(a.backend_tier_energy_pj, b.backend_tier_energy_pj) << label;
-}
-
 TEST(DeviceSerialization, EveryRegistryDeviceRoundTrips) {
   // The --dump-config invariant: serialize → re-parse (with NO registry
   // resolver, so the dump must be self-contained) → identical structs
@@ -159,7 +142,7 @@ TEST(DeviceSerialization, EveryRegistryDeviceRoundTrips) {
         parse_device(doc.root.children.at("device"), doc.source, nullptr);
 
     EXPECT_TRUE(reparsed == original) << token << ":\n" << text;
-    expect_same_stats(probe(original), probe(reparsed), token);
+    expect_identical(probe(original), probe(reparsed), token);
   }
 }
 
@@ -237,7 +220,7 @@ TEST(DeviceSerialization, FlatBasePromotesToHybrid) {
       parse_device(doc.root.children.at("device"), doc.source,
                    registry_resolver());
   ASSERT_TRUE(user.is_hybrid());
-  expect_same_stats(probe(make_device_spec("hybrid-comet")), probe(user),
+  expect_identical(probe(make_device_spec("hybrid-comet")), probe(user),
                     "promotion");
 }
 
@@ -430,7 +413,7 @@ TEST(ExperimentApi, ConfigMatrixMatchesCliFlagMatrix) {
   const auto cli_results = comet::driver::run_sweep(cli_jobs, 1);
   const auto cfg_results = comet::driver::run_sweep(cfg_jobs, 1);
   for (std::size_t i = 0; i < cli_results.size(); ++i) {
-    expect_same_stats(cli_results[i], cfg_results[i], "cli-vs-config");
+    expect_identical(cli_results[i], cfg_results[i], "cli-vs-config");
   }
 }
 
@@ -454,7 +437,7 @@ TEST(ExperimentApi, ResolvedExperimentRoundTripsThroughToml) {
   const auto results_a = comet::driver::run_sweep(jobs_a, 1);
   const auto results_b = comet::driver::run_sweep(jobs_b, 1);
   for (std::size_t i = 0; i < results_a.size(); ++i) {
-    expect_same_stats(results_a[i], results_b[i], "dump-roundtrip");
+    expect_identical(results_a[i], results_b[i], "dump-roundtrip");
   }
 }
 
@@ -565,7 +548,7 @@ TEST(ExperimentApi, RunThreadsAloneShardsWithoutEngagingScheduling) {
 
   // The axis only moves wall-clock: both cells report identical stats.
   const auto results = comet::driver::run_sweep(jobs, 1);
-  expect_same_stats(results[0], results[1], "run-threads-axis");
+  expect_identical(results[0], results[1], "run-threads-axis");
 
   // And it survives the --dump-config round trip.
   const std::string dumped = comet::config::experiment_to_toml(
@@ -628,10 +611,7 @@ TEST(ExperimentApi, ScheduledExperimentRoundTripsThroughToml) {
       comet::driver::run_sweep(comet::driver::build_matrix(reparsed), 1);
   ASSERT_EQ(results_a.size(), results_b.size());
   for (std::size_t i = 0; i < results_a.size(); ++i) {
-    expect_same_stats(results_a[i], results_b[i], "sched-roundtrip");
-    EXPECT_EQ(results_a[i].sched_policy, results_b[i].sched_policy);
-    EXPECT_EQ(results_a[i].sched_queue_delay_ns.mean(),
-              results_b[i].sched_queue_delay_ns.mean());
+    expect_identical(results_a[i], results_b[i], "sched-roundtrip");
   }
 }
 

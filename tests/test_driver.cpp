@@ -26,6 +26,7 @@
 #include "driver/sweep.hpp"
 #include "memsim/trace.hpp"
 #include "sched/controller.hpp"
+#include "sim_stats_equal.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace {
@@ -35,6 +36,7 @@ using comet::driver::Options;
 using comet::driver::parse_args;
 using comet::driver::resolve_device_specs;
 using comet::driver::run_sweep;
+using comet::test_support::expect_identical;
 
 TEST(OptionsTest, DefaultsAreAllDevicesAllWorkloads) {
   const Options opt = parse_args({});
@@ -472,21 +474,7 @@ TEST(SweepTest, ThreadedMatchesSerialBitExactly) {
   const auto threaded = run_sweep(jobs, 4);
   ASSERT_EQ(serial.size(), threaded.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    const auto& a = serial[i];
-    const auto& b = threaded[i];
-    EXPECT_EQ(a.device_name, b.device_name) << i;
-    EXPECT_EQ(a.workload_name, b.workload_name) << i;
-    EXPECT_EQ(a.reads, b.reads) << i;
-    EXPECT_EQ(a.writes, b.writes) << i;
-    EXPECT_EQ(a.bytes_transferred, b.bytes_transferred) << i;
-    EXPECT_EQ(a.span_ps, b.span_ps) << i;
-    EXPECT_EQ(a.read_latency_ns.mean(), b.read_latency_ns.mean()) << i;
-    EXPECT_EQ(a.read_latency_ns.max(), b.read_latency_ns.max()) << i;
-    EXPECT_EQ(a.write_latency_ns.mean(), b.write_latency_ns.mean()) << i;
-    EXPECT_EQ(a.queue_delay_ns.mean(), b.queue_delay_ns.mean()) << i;
-    EXPECT_EQ(a.dynamic_energy_pj, b.dynamic_energy_pj) << i;
-    EXPECT_EQ(a.background_energy_pj, b.background_energy_pj) << i;
-    EXPECT_EQ(a.total_bank_busy_ns, b.total_bank_busy_ns) << i;
+    expect_identical(serial[i], threaded[i], std::to_string(i));
   }
 }
 
@@ -498,8 +486,7 @@ TEST(SweepTest, RepeatedRunsAreDeterministic) {
   const auto second = run_sweep(jobs, 3);
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].span_ps, second[i].span_ps);
-    EXPECT_EQ(first[i].dynamic_energy_pj, second[i].dynamic_energy_pj);
+    expect_identical(first[i], second[i], std::to_string(i));
   }
 }
 

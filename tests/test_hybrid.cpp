@@ -14,13 +14,16 @@
 #include "driver/sweep.hpp"
 #include "hybrid/dram_cache.hpp"
 #include "hybrid/tiered_system.hpp"
+#include "memsim/source.hpp"
 #include "memsim/system.hpp"
 #include "memsim/trace_gen.hpp"
+#include "sim_stats_equal.hpp"
 #include "util/units.hpp"
 
 namespace hy = comet::hybrid;
 namespace ms = comet::memsim;
 namespace cu = comet::util;
+using comet::test_support::expect_identical;
 
 namespace {
 
@@ -65,6 +68,13 @@ ms::Request make_req(std::uint64_t id, std::uint64_t arrival_ns, ms::Op op,
   r.address = addr;
   r.size_bytes = size;
   return r;
+}
+
+/// Streams a materialized demand vector through `sys`'s tiers.
+hy::TieredStats run_tiered(const hy::TieredSystem& sys,
+                           const std::vector<ms::Request>& reqs) {
+  ms::VectorSource source(reqs);
+  return sys.run_tiered(source);
 }
 
 }  // namespace
@@ -184,7 +194,7 @@ TEST(TieredSystem, AllHitsAfterWarmupServeFromDramTier) {
   for (int i = 0; i < 10; ++i) {
     reqs.push_back(make_req(i, i * 1000, ms::Op::kRead, 0));
   }
-  const auto stats = sys.run_tiered(reqs);
+  const auto stats = run_tiered(sys, reqs);
   EXPECT_EQ(stats.combined.cache_hits, 9u);
   EXPECT_EQ(stats.combined.cache_misses, 1u);
   EXPECT_EQ(stats.combined.cache_fills, 1u);
@@ -209,7 +219,7 @@ TEST(TieredSystem, DirtyEvictionsReachTheBackendAsWrites) {
     reqs.push_back(
         make_req(i, i * 1000, ms::Op::kWrite, std::uint64_t(i) * 1024));
   }
-  const auto stats = sys.run_tiered(reqs);
+  const auto stats = run_tiered(sys, reqs);
   // Every write allocates dirty; each subsequent fill evicts dirty: 7
   // writebacks (the 8th line is still resident at the end).
   EXPECT_EQ(stats.combined.cache_misses, 8u);
@@ -229,7 +239,7 @@ TEST(TieredSystem, WriteNoAllocateSendsMissesStraightDown) {
     reqs.push_back(
         make_req(i, i * 1000, ms::Op::kWrite, std::uint64_t(i) * 1024));
   }
-  const auto stats = sys.run_tiered(reqs);
+  const auto stats = run_tiered(sys, reqs);
   EXPECT_EQ(stats.combined.cache_fills, 0u);
   EXPECT_EQ(stats.combined.writebacks, 0u);
   EXPECT_EQ(stats.backend.writes, 8u);   // all demand writes
@@ -248,14 +258,14 @@ TEST(TieredSystem, FullLineWriteMissSkipsTheFetch) {
   // A demand write covering the whole 1 KB cache line allocates dirty
   // without fetching from the backend — every byte would be overwritten.
   const hy::TieredSystem sys(tiered_config());
-  const auto stats = sys.run_tiered(
-      {make_req(0, 0, ms::Op::kWrite, 0, /*size=*/1024)});
+  const auto stats = run_tiered(
+      sys, {make_req(0, 0, ms::Op::kWrite, 0, /*size=*/1024)});
   EXPECT_EQ(stats.combined.cache_fills, 1u);
   EXPECT_EQ(stats.backend.reads, 0u);
   EXPECT_EQ(stats.dram.writes, 1u);
   // A partial write miss still fetches the rest of the line.
-  const auto partial = sys.run_tiered(
-      {make_req(0, 0, ms::Op::kWrite, 0, /*size=*/128)});
+  const auto partial = run_tiered(
+      sys, {make_req(0, 0, ms::Op::kWrite, 0, /*size=*/128)});
   EXPECT_EQ(partial.backend.reads, 1u);
 }
 
@@ -287,7 +297,7 @@ TEST(TieredSystem, CombinedStatsMergeBothTiers) {
     reqs.push_back(make_req(i, i * 2000, i % 2 ? ms::Op::kWrite : ms::Op::kRead,
                             (i % 2) * 2048));
   }
-  const auto stats = sys.run_tiered(reqs);
+  const auto stats = run_tiered(sys, reqs);
   const auto& c = stats.combined;
   EXPECT_EQ(c.read_latency_ns.count(),
             stats.dram.read_latency_ns.count() +
@@ -306,33 +316,17 @@ TEST(TieredSystem, CombinedStatsMergeBothTiers) {
 }
 
 TEST(TieredSystem, StreamedTieredReplayMatchesMaterialized) {
-  // The streaming split (demand pulled one request at a time, derived
+  // The streaming split (demand pulled lazily from a generator, derived
   // traffic fed into two incremental replays) must be bit-identical to
-  // the materialized-vector adapter, tier by tier.
+  // replaying the materialized trace, tier by tier.
   const hy::TieredSystem sys(tiered_config(small_cache(1 << 12, 2, 1024)));
-  std::vector<ms::Request> reqs;
-  for (int i = 0; i < 300; ++i) {
-    reqs.push_back(make_req(i, i * 700,
-                            i % 3 ? ms::Op::kRead : ms::Op::kWrite,
-                            std::uint64_t(i % 11) * 1024));
-  }
-  const auto materialized = sys.run_tiered(reqs);
-  ms::VectorSource source(reqs);
+  const ms::TraceGenerator gen(ms::profile_by_name("mcf_like"), 5);
+  const auto materialized = run_tiered(sys, gen.generate(600, 128));
+  auto source = gen.stream(600, 128);
   const auto streamed = sys.run_tiered(source);
-  const auto compare = [](const ms::SimStats& a, const ms::SimStats& b,
-                          const char* tier) {
-    EXPECT_EQ(a.reads, b.reads) << tier;
-    EXPECT_EQ(a.writes, b.writes) << tier;
-    EXPECT_EQ(a.span_ps, b.span_ps) << tier;
-    EXPECT_EQ(a.read_latency_ns.mean(), b.read_latency_ns.mean()) << tier;
-    EXPECT_EQ(a.dynamic_energy_pj, b.dynamic_energy_pj) << tier;
-    EXPECT_EQ(a.background_energy_pj, b.background_energy_pj) << tier;
-    EXPECT_EQ(a.cache_hits, b.cache_hits) << tier;
-    EXPECT_EQ(a.writebacks, b.writebacks) << tier;
-  };
-  compare(materialized.combined, streamed.combined, "combined");
-  compare(materialized.dram, streamed.dram, "dram");
-  compare(materialized.backend, streamed.backend, "backend");
+  expect_identical(materialized.combined, streamed.combined, "combined");
+  expect_identical(materialized.dram, streamed.dram, "dram");
+  expect_identical(materialized.backend, streamed.backend, "backend");
 }
 
 TEST(TieredSystem, HitsAreFasterThanFlatBackend) {
@@ -427,18 +421,7 @@ TEST(HybridSweep, ThreadedMatchesSerialBitExactly) {
   const auto threaded = comet::driver::run_sweep(jobs, 4);
   ASSERT_EQ(serial.size(), threaded.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    const auto& a = serial[i];
-    const auto& b = threaded[i];
-    EXPECT_EQ(a.cache_hits, b.cache_hits) << i;
-    EXPECT_EQ(a.cache_misses, b.cache_misses) << i;
-    EXPECT_EQ(a.writebacks, b.writebacks) << i;
-    EXPECT_EQ(a.span_ps, b.span_ps) << i;
-    EXPECT_EQ(a.read_latency_ns.mean(), b.read_latency_ns.mean()) << i;
-    EXPECT_EQ(a.write_latency_ns.mean(), b.write_latency_ns.mean()) << i;
-    EXPECT_EQ(a.dynamic_energy_pj, b.dynamic_energy_pj) << i;
-    EXPECT_EQ(a.background_energy_pj, b.background_energy_pj) << i;
-    EXPECT_EQ(a.dram_tier_energy_pj, b.dram_tier_energy_pj) << i;
-    EXPECT_EQ(a.backend_tier_energy_pj, b.backend_tier_energy_pj) << i;
+    expect_identical(serial[i], threaded[i], std::to_string(i));
   }
 }
 

@@ -23,12 +23,14 @@
 #include "memsim/system.hpp"
 #include "memsim/trace_gen.hpp"
 #include "sched/controller.hpp"
+#include "sim_stats_equal.hpp"
 #include "util/units.hpp"
 
 namespace ms = comet::memsim;
 namespace sc = comet::sched;
 namespace cu = comet::util;
 namespace hy = comet::hybrid;
+using comet::test_support::expect_identical;
 
 namespace {
 
@@ -95,39 +97,23 @@ ms::SimStats run_with(const ms::DeviceModel& model,
   return system.run(requests, "crafted");
 }
 
-/// Exhaustive SimStats comparison for the bit-identity anchors (the
-/// scheduler-breakdown fields are intentionally excluded: the legacy
-/// path has none).
-void expect_bit_identical(const ms::SimStats& a, const ms::SimStats& b,
-                          const std::string& label) {
-  EXPECT_EQ(a.reads, b.reads) << label;
-  EXPECT_EQ(a.writes, b.writes) << label;
-  EXPECT_EQ(a.bytes_transferred, b.bytes_transferred) << label;
-  EXPECT_EQ(a.span_ps, b.span_ps) << label;
-  const auto same_dist = [&](const cu::RunningStats& x,
-                             const cu::RunningStats& y, const char* which) {
-    EXPECT_EQ(x.count(), y.count()) << label << " " << which;
-    EXPECT_EQ(x.mean(), y.mean()) << label << " " << which;
-    EXPECT_EQ(x.stddev(), y.stddev()) << label << " " << which;
-    EXPECT_EQ(x.min(), y.min()) << label << " " << which;
-    EXPECT_EQ(x.max(), y.max()) << label << " " << which;
-    EXPECT_EQ(x.sum(), y.sum()) << label << " " << which;
-    EXPECT_EQ(x.p50(), y.p50()) << label << " " << which;
-    EXPECT_EQ(x.p95(), y.p95()) << label << " " << which;
-    EXPECT_EQ(x.p99(), y.p99()) << label << " " << which;
-  };
-  same_dist(a.read_latency_ns, b.read_latency_ns, "read");
-  same_dist(a.write_latency_ns, b.write_latency_ns, "write");
-  same_dist(a.queue_delay_ns, b.queue_delay_ns, "queue");
-  EXPECT_EQ(a.dynamic_energy_pj, b.dynamic_energy_pj) << label;
-  EXPECT_EQ(a.background_energy_pj, b.background_energy_pj) << label;
-  EXPECT_EQ(a.total_bank_busy_ns, b.total_bank_busy_ns) << label;
-  EXPECT_EQ(a.cache_hits, b.cache_hits) << label;
-  EXPECT_EQ(a.cache_misses, b.cache_misses) << label;
-  EXPECT_EQ(a.cache_fills, b.cache_fills) << label;
-  EXPECT_EQ(a.writebacks, b.writebacks) << label;
-  EXPECT_EQ(a.dram_tier_energy_pj, b.dram_tier_energy_pj) << label;
-  EXPECT_EQ(a.backend_tier_energy_pj, b.backend_tier_energy_pj) << label;
+/// `stats` with the scheduler breakdown reset to what an unscheduled
+/// replay reports: the scheduled flag, the policy name, the controller
+/// queue-delay and service distributions, both queue-occupancy
+/// distributions and the drain / admit-stall counters. Unbounded fcfs
+/// must match a direct replay in every other field.
+ms::SimStats without_scheduler(ms::SimStats stats) {
+  stats.scheduled = false;
+  stats.sched_policy.clear();
+  stats.sched_queue_delay_ns = {};
+  stats.service_latency_ns = {};
+  stats.read_queue_occupancy = {};
+  stats.write_queue_occupancy = {};
+  stats.write_drains = 0;
+  stats.drained_writes = 0;
+  stats.drain_stalls = 0;
+  stats.admit_stalls = 0;
+  return stats;
 }
 
 }  // namespace
@@ -206,8 +192,8 @@ TEST(SchedFcfs, UnboundedIsBitIdenticalOnEveryRegistryDevice) {
       // fcfs hands off at arrival: zero controller-queue time, and the
       // device service interval is the whole end-to-end latency.
       EXPECT_EQ(scheduled.sched_queue_delay_ns.max(), 0.0) << token;
-      expect_bit_identical(legacy, scheduled,
-                           token + std::string("/") + workload);
+      expect_identical(legacy, without_scheduler(scheduled),
+                       token + std::string("/") + workload);
     }
   }
 }
@@ -357,16 +343,17 @@ TEST(SchedController, FeedAfterFinishAndDoubleFinishThrow) {
   const ms::MemorySystem system(asym_device());
   sc::Controller controller(system, unbounded(sc::Policy::kReadFirst), "t");
   controller.feed(make_req(0, 0, ms::Op::kRead, 0));
-  (void)controller.finish();
+  (void)controller.finish_slice();
   EXPECT_THROW(controller.feed(make_req(1, 1, ms::Op::kRead, 64)),
                std::logic_error);
-  EXPECT_THROW(controller.finish(), std::logic_error);
+  EXPECT_THROW(controller.finish_slice(), std::logic_error);
 }
 
 TEST(SchedController, EmptyStreamFinishes) {
   const ms::MemorySystem system(asym_device());
   sc::Controller controller(system, unbounded(sc::Policy::kFrFcfs), "t");
-  const auto stats = controller.finish();
+  const auto stats = ms::finalize_slice(controller.finish_slice(),
+                                        system.model());
   EXPECT_TRUE(stats.is_scheduled());
   EXPECT_EQ(stats.reads + stats.writes, 0u);
 }
@@ -381,7 +368,7 @@ TEST(SchedEngine, ScheduledSystemIsStatelessAcrossRuns) {
   }
   const auto first = system.run(reqs);
   const auto second = system.run(reqs);
-  expect_bit_identical(first, second, "rerun");
+  expect_identical(first, second, "rerun");
 }
 
 // -------------------------------------------------- hybrid integration
@@ -398,7 +385,7 @@ TEST(SchedHybrid, FcfsUnboundedBackendMatchesDirectTiering) {
   const auto b = scheduled.run(sched_source, "mcf_like");
   EXPECT_FALSE(a.is_scheduled());
   EXPECT_TRUE(b.is_scheduled());
-  expect_bit_identical(a, b, "hybrid-fcfs");
+  expect_identical(a, without_scheduler(b), "hybrid-fcfs");
 }
 
 TEST(SchedHybrid, BackendControllerSurfacesOnCombinedStats) {
@@ -490,14 +477,8 @@ TEST(SchedSweep, ThreadedMatchesSerialForEveryPolicy) {
   const auto threaded = comet::driver::run_sweep(jobs, 4);
   ASSERT_EQ(serial.size(), threaded.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    expect_bit_identical(serial[i], threaded[i],
-                         jobs[i].device.name + "/" +
-                             serial[i].sched_policy);
-    EXPECT_EQ(serial[i].sched_queue_delay_ns.mean(),
-              threaded[i].sched_queue_delay_ns.mean())
-        << i;
-    EXPECT_EQ(serial[i].write_drains, threaded[i].write_drains) << i;
-    EXPECT_EQ(serial[i].admit_stalls, threaded[i].admit_stalls) << i;
+    expect_identical(serial[i], threaded[i],
+                     jobs[i].device.name + "/" + serial[i].sched_policy);
   }
 }
 

@@ -109,7 +109,8 @@ TEST(ShardedBitIdentity, ScheduledSystemMatchesOneControllerOverTheStream) {
       for (const ms::Request& request : shared_trace()) {
         controller.feed(request);
       }
-      const ms::SimStats reference = controller.finish();
+      const ms::SimStats reference =
+          ms::finalize_slice(controller.finish_slice(), model);
       for (const int threads : {1, 2, 8}) {
         const sc::ScheduledSystem scheduled(model, config, threads);
         expect_identical(reference, scheduled.run(shared_trace(), "gcc_like"),

@@ -25,6 +25,7 @@
 
 #include "config/device_spec.hpp"
 #include "driver/registry.hpp"
+#include "memsim/system.hpp"
 #include "memsim/trace_gen.hpp"
 #include "sched/controller.hpp"
 #include "sim_stats_equal.hpp"
@@ -275,6 +276,30 @@ TEST(TelemetryTimeline, EpochSumsReconcileWithSimStats) {
   }
 }
 
+TEST(TelemetryTimeline, BankBusyReconcilesOnStripedDevices) {
+  // A striped device occupies every bank of the channel per request,
+  // and the run's total_bank_busy_ns counts each of them, so the
+  // timeline's bank_busy_ns must too. No built-in device stripes:
+  // stripe COMET's lines, with the unstriped original as the control.
+  for (const bool striped : {false, true}) {
+    ms::DeviceModel model = dr::make_device("comet");
+    model.timing.line_striped_across_banks = striped;
+    ms::MemorySystem system(model);
+    tl::TelemetrySpec spec;
+    spec.metrics_interval_ps = 1'000'000;
+    tl::Collector collector(spec);
+    system.attach_telemetry(&collector);
+    const ms::SimStats stats = system.run(shared_trace(), "gcc_like");
+    double busy_ns = 0.0;
+    for (const auto& point : collector.timeline()) {
+      busy_ns += point.bank_busy_ns;
+    }
+    ASSERT_GT(stats.total_bank_busy_ns, 0.0);
+    EXPECT_NEAR(busy_ns / stats.total_bank_busy_ns, 1.0, 1e-9)
+        << (striped ? "striped" : "unstriped");
+  }
+}
+
 TEST(TelemetryTimeline, BoundedReadFirstRecordsDrainActivity) {
   // Read-first with an aggressive low watermark pair drains on this
   // trace; the timeline must carry that activity (not just zeros).
@@ -377,7 +402,7 @@ TEST(TelemetryTruncation, EventCapsAreHonoredAndDropsCounted) {
 
 TEST(TelemetryTruncation, LaneCapsSumToStageBudget) {
   tl::Collector collector(full_spec());
-  const tl::Recorder* recorder = collector.add_stage("", 3, 4, 100);
+  const tl::Recorder* recorder = collector.add_stage("", 3, 4, 100, 1);
   std::uint64_t total = 0;
   for (int c = 0; c < recorder->channels(); ++c) {
     total += recorder->lane(c).event_cap;
@@ -400,15 +425,15 @@ TEST(TelemetryTruncation, ZeroLimitMeansUnlimited) {
 
 TEST(TelemetryRecorder, RejectsNonPositiveGeometry) {
   tl::Collector collector(full_spec());
-  EXPECT_THROW(collector.add_stage("", 0, 4, 0), std::invalid_argument);
-  EXPECT_THROW(collector.add_stage("", 4, 0, 0), std::invalid_argument);
+  EXPECT_THROW(collector.add_stage("", 0, 4, 0, 1), std::invalid_argument);
+  EXPECT_THROW(collector.add_stage("", 4, 0, 0, 1), std::invalid_argument);
 }
 
 TEST(TelemetryRecorder, MarksBinIntoEpochCounters) {
   tl::TelemetrySpec spec;
   spec.metrics_interval_ps = 1'000;
   tl::Collector collector(spec);
-  tl::Recorder* recorder = collector.add_stage("", 1, 2, 0);
+  tl::Recorder* recorder = collector.add_stage("", 1, 2, 0, 1);
   recorder->record_mark(0, tl::MarkKind::kAdmitStall, 500);
   recorder->record_mark(0, tl::MarkKind::kDrainBegin, 1'500);
   recorder->record_mark(0, tl::MarkKind::kDrainEnd, 1'700);
