@@ -15,6 +15,10 @@
 //     threads (a 1-2 vCPU runner cannot demonstrate parallel speedup,
 //     but it can still prove correctness).
 //
+// Two source-only cells (source_gcc_like, source_mcf_like) then time
+// GeneratorSource::next_batch alone, with no engine behind it: the
+// producer's cost per request, Zipf-hot line sampling included.
+//
 // Every phase lands in BENCH_streaming.json (bench/bench_json.hpp
 // schema); CI's perf lane diffs requests_per_s against the committed
 // baseline via scripts/check_perf.py.
@@ -46,7 +50,8 @@ namespace ms = comet::memsim;
 
 struct Phase {
   std::string label;
-  std::string device;
+  std::string device;  ///< Empty for a source-only phase.
+  std::string workload;
   std::string policy;  ///< Empty for direct (unscheduled) replay.
   double seconds = 0.0;
   int threads = 1;
@@ -108,6 +113,7 @@ int main(int argc, char** argv) {
               ->run(trace, profile.name);
         }));
         phases.back().device = spec.name;
+        phases.back().workload = profile.name;
         if (controller) {
           phases.back().policy = comet::sched::policy_name(controller->policy);
         }
@@ -133,6 +139,7 @@ int main(int argc, char** argv) {
     return engine->run(trace, profile.name);
   }));
   phases.back().device = flat.name;
+  phases.back().workload = profile.name;
 
   // Profiler-on replay (PR 10): the same serial flat run with the host
   // run profiler attached. Its req/s against flat_serial is the
@@ -148,17 +155,42 @@ int main(int argc, char** argv) {
     return engine->run(trace, profile.name);
   }));
   phases.back().device = flat.name;
+  phases.back().workload = profile.name;
+
+  // Source-only cells: the same request count synthesized block by
+  // block into a reused buffer, nothing consuming it. gcc_like draws
+  // Zipf-hot lines at s = 0.6 and mcf_like at s = 0.9. Each cell keeps
+  // the fastest of three passes, so one descheduled pass does not read
+  // as a regression.
+  std::vector<ms::Request> block(1024);
+  for (const std::string workload : {"gcc_like", "mcf_like"}) {
+    Phase best;
+    for (int pass = 0; pass < 3; ++pass) {
+      Phase phase = timed_phase("source_" + workload, 1, [&] {
+        ms::GeneratorSource source(ms::profile_by_name(workload), 42,
+                                   requests, kLineBytes);
+        while (source.next_batch(block.data(), block.size()) != 0) {
+        }
+        return ms::SimStats{};
+      });
+      if (pass == 0 || phase.seconds < best.seconds) best = std::move(phase);
+    }
+    best.workload = workload;
+    phases.push_back(std::move(best));
+  }
 
   Table table({"phase", "threads", "time (s)", "req/s", "BW (GB/s)",
                "EPB (pJ/bit)"});
   for (const auto& phase : phases) {
-    table.add_row({phase.label, std::to_string(phase.threads),
-                   Table::num(phase.seconds, 2),
-                   Table::num(double(requests) / phase.seconds, 0),
-                   Table::num(phase.stats.bandwidth_gbps(), 2),
-                   Table::num(phase.stats.epb_pj_per_bit(), 2)});
+    const bool replayed = !phase.device.empty();
+    table.add_row(
+        {phase.label, std::to_string(phase.threads),
+         Table::num(phase.seconds, 2),
+         Table::num(double(requests) / phase.seconds, 0),
+         replayed ? Table::num(phase.stats.bandwidth_gbps(), 2) : "-",
+         replayed ? Table::num(phase.stats.epb_pj_per_bit(), 2) : "-"});
   }
-  std::cout << "=== Serial vs sharded replay ===\n";
+  std::cout << "=== Serial vs sharded replay, and the source alone ===\n";
   table.print(std::cout);
 
   bool ok = true;
@@ -226,12 +258,14 @@ int main(int argc, char** argv) {
       r.requests = requests;
       r.wall_s = phase.seconds;
       r.requests_per_s = double(requests) / phase.seconds;
-      r.config = {{"device", cb::json_str(phase.device)},
-                  {"workload", cb::json_str(profile.name)},
-                  {"run_threads", std::to_string(phase.threads)},
-                  {"hw_threads", std::to_string(hw_threads)},
-                  {"line_bytes", std::to_string(kLineBytes)},
-                  {"seed", "42"}};
+      if (!phase.device.empty()) {
+        r.config.emplace_back("device", cb::json_str(phase.device));
+      }
+      r.config.emplace_back("workload", cb::json_str(phase.workload));
+      r.config.emplace_back("run_threads", std::to_string(phase.threads));
+      r.config.emplace_back("hw_threads", std::to_string(hw_threads));
+      r.config.emplace_back("line_bytes", std::to_string(kLineBytes));
+      r.config.emplace_back("seed", "42");
       if (!phase.policy.empty()) {
         r.config.emplace_back("policy", cb::json_str(phase.policy));
       }

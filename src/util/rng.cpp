@@ -1,6 +1,8 @@
 #include "util/rng.hpp"
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 namespace comet::util {
 namespace {
@@ -68,30 +70,58 @@ double Rng::next_exponential(double mean) {
 
 std::uint64_t Rng::next_zipf(std::uint64_t n, double s) {
   if (n <= 1) return 0;
-  // Rejection-inversion sampling (Hörmann & Derflinger) is overkill for the
-  // small ranks trace generators use; inverse-CDF over a harmonic prefix is
-  // exact and fast enough since n here is the hot-set size (<= a few 1000).
   if (s <= 0.0) return next_below(n);
-  // The k^-s weights (and their left-to-right harmonic sum) depend only
-  // on (n, s), which trace generators hold fixed across millions of
-  // draws — memoize them. The subtraction scan below performs exactly
-  // the same floating-point operations in the same order as computing
-  // the powers inline, so cached and uncached sampling are bit-identical;
-  // only the ~2n std::pow calls per draw disappear.
-  if (zipf_n_ != n || zipf_s_ != s) {
-    zipf_weights_.resize(n);
-    zipf_h_ = 0.0;
-    for (std::uint64_t k = 1; k <= n; ++k) {
-      zipf_weights_[k - 1] = std::pow(double(k), -s);
-      zipf_h_ += zipf_weights_[k - 1];
-    }
-    zipf_n_ = n;
-    zipf_s_ = s;
+  // Trace generators hold (n, s) fixed across millions of draws.
+  if (zipf_.n() != n || zipf_.s() != s) zipf_ = ZipfTable(n, s);
+  return zipf_.index(next_double() * zipf_.total());
+}
+
+ZipfTable::ZipfTable(std::uint64_t n, double s) : s_(s) {
+  if (n == 0 || n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("ZipfTable: rank count must be in [1, 2^32)");
   }
-  double u = next_double() * zipf_h_;
-  for (std::uint64_t k = 1; k <= n; ++k) {
-    u -= zipf_weights_[k - 1];
-    if (u <= 0.0) return k - 1;
+  weights_.resize(n);
+  prefix_.resize(n);
+  double h = 0.0;
+  for (std::uint64_t k = 0; k < n; ++k) {
+    weights_[k] = std::pow(double(k + 1), -s);
+    h += weights_[k];
+    prefix_[k] = h;
+  }
+  scale_ = double(n) / h;
+  margin_ = 4.0 * double(n) * std::numeric_limits<double>::epsilon() * h;
+  // bucket() is monotone in u, so the first P[k] >= u is never before
+  // guide_[bucket(u)].
+  guide_.resize(n);
+  std::uint32_t k = 0;
+  for (std::size_t b = 0; b < n; ++b) {
+    while (bucket(prefix_[k]) < b && k + 1 < n) ++k;
+    guide_[b] = k;
+  }
+}
+
+std::size_t ZipfTable::bucket(double u) const {
+  // The comparison also sends u > h and a NaN total to the last bucket.
+  const std::size_t last = weights_.size() - 1;
+  const double x = u * scale_;
+  return x < double(last) ? std::size_t(x) : last;
+}
+
+std::uint64_t ZipfTable::index(double u) const {
+  const std::size_t last = weights_.size() - 1;
+  std::size_t k = guide_[bucket(u)];
+  while (prefix_[k] < u && k < last) ++k;
+  if (prefix_[k] - u > margin_ && (k == 0 || u - prefix_[k - 1] > margin_)) {
+    return k;
+  }
+  return scan(u);
+}
+
+std::uint64_t ZipfTable::scan(double u) const {
+  const std::uint64_t n = weights_.size();
+  for (std::uint64_t k = 0; k < n; ++k) {
+    u -= weights_[k];
+    if (u <= 0.0) return k;
   }
   return n - 1;
 }

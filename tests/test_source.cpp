@@ -131,6 +131,67 @@ TEST(GeneratorSource, RejectsBadLineSizeAndProfile) {
   EXPECT_THROW(ms::GeneratorSource(tiny, 1, 10, 128), std::invalid_argument);
 }
 
+namespace {
+
+/// FNV-1a over (address, arrival_ps, op) of every request, fed byte by
+/// byte little-endian so the value does not depend on host layout.
+std::uint64_t stream_hash(ms::GeneratorSource& source) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  std::vector<ms::Request> block(1024);
+  while (const std::size_t n = source.next_batch(block.data(), block.size())) {
+    for (std::size_t i = 0; i < n; ++i) {
+      mix(block[i].address, 8);
+      mix(block[i].arrival_ps, 8);
+      mix(static_cast<std::uint64_t>(block[i].op), 1);
+    }
+  }
+  return h;
+}
+
+}  // namespace
+
+// Golden streams: any change to the generator or to util::Rng (Zipf
+// sampling included) that alters a single request fails here. A
+// deliberate generator change must regenerate these values and say so.
+TEST(GeneratorSource, GoldenStreamHashes) {
+  struct Golden {
+    const char* profile;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const Golden golden[] = {
+      {"mcf_like", 1, 0x0258b3d9ff614ec7ULL},
+      {"mcf_like", 4242, 0xb70a086c67750588ULL},
+      {"lbm_like", 1, 0x705441b3457c68d2ULL},
+      {"lbm_like", 4242, 0x353e8911a1fb9305ULL},
+      {"gcc_like", 1, 0x6cc576a20dfd6324ULL},
+      {"gcc_like", 4242, 0x327f9932f5dcc4fbULL},
+      {"milc_like", 1, 0x0651571af6c55e77ULL},
+      {"milc_like", 4242, 0x9f052bec8210027cULL},
+      {"omnetpp_like", 1, 0x3965f5d5304d59dfULL},
+      {"omnetpp_like", 4242, 0xc4169fcba066aac2ULL},
+      {"xalancbmk_like", 1, 0xddeb50aaecad3851ULL},
+      {"xalancbmk_like", 4242, 0x39521a21b2e5a41aULL},
+      {"leslie3d_like", 1, 0x228ecebd4937ee57ULL},
+      {"leslie3d_like", 4242, 0x62ba9695078c0559ULL},
+      {"libquantum_like", 1, 0x4432e78bdb617aadULL},
+      {"libquantum_like", 4242, 0x6efb948b0ad535fdULL},
+  };
+  EXPECT_EQ(std::size(golden), 2 * ms::spec_like_profiles().size());
+  for (const auto& g : golden) {
+    ms::GeneratorSource source(ms::profile_by_name(g.profile), g.seed, 100000,
+                               64);
+    EXPECT_EQ(stream_hash(source), g.hash)
+        << g.profile << " seed " << g.seed;
+  }
+}
+
 // ----------------------------------------------------- ReplaySession
 
 TEST(ReplaySession, FeedAfterFinishThrows) {

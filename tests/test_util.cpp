@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
 #include "util/interp.hpp"
 #include "util/json.hpp"
@@ -116,6 +120,72 @@ TEST(Rng, ZipfZeroExponentIsUniformish) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) first_bucket += (rng.next_zipf(10, 0.0) == 0);
   EXPECT_NEAR(first_bucket / double(n), 0.1, 0.02);
+}
+
+// The guide-table sampler must return the subtraction scan's rank for
+// every u. Large exponents underflow the tail weights to 0 (repeated
+// running sums); 1e-9 makes the law nearly uniform.
+TEST(ZipfTable, IndexMatchesScanOnRandomAndAdversarialU) {
+  const std::uint64_t ranks[] = {2, 3, 10, 100, 1000, 4096, 5000};
+  const double exponents[] = {1e-9, 0.1, 0.6, 0.8,  0.9,  1.1,   1.2,
+                              2.0,  5.0, 50,  1070, 1100, 1e300};
+  cu::Rng rng(31);
+  for (const std::uint64_t n : ranks) {
+    for (const double s : exponents) {
+      const cu::ZipfTable table(n, s);
+      const auto& prefix = table.prefix();
+      const double h = table.total();
+      const double delta = table.margin();
+      ASSERT_EQ(prefix.size(), n);
+      for (int i = 0; i < 20000; ++i) {
+        const double u = rng.next_double() * h;
+        ASSERT_EQ(table.index(u), table.scan(u))
+            << "n " << n << " s " << s << " u " << u;
+      }
+      // Every running sum, its neighbouring doubles and the margin edges,
+      // plus the ends of next_zipf's range: u = 0, h and the largest
+      // draw next_double() * h can give.
+      std::vector<double> adversarial = {0.0, h, (1.0 - 0x1.0p-53) * h};
+      for (const double p : prefix) {
+        for (const double u : {p, std::nextafter(p, 0.0),
+                               std::nextafter(p, 2 * h), p - delta,
+                               p + delta}) {
+          if (u >= 0.0 && u <= h) adversarial.push_back(u);
+        }
+      }
+      int in_margin = 0;
+      for (const double u : adversarial) {
+        ASSERT_EQ(table.index(u), table.scan(u))
+            << "n " << n << " s " << s << " u " << u;
+        // index() runs the scan when u is within the margin of the first
+        // running sum >= u or of the one before it.
+        const auto k = std::size_t(
+            std::lower_bound(prefix.begin(), prefix.end(), u) -
+            prefix.begin());
+        in_margin += prefix[k] - u <= delta ||
+                     (k > 0 && u - prefix[k - 1] <= delta);
+      }
+      EXPECT_GT(in_margin, 0) << "n " << n << " s " << s
+                              << ": the fallback scan was never reached";
+    }
+  }
+}
+
+TEST(ZipfTable, NextZipfScansFromOneUniformDraw) {
+  for (const double s : {0.6, 0.9, 1.1}) {
+    cu::Rng sampled(37), uniform(37);
+    const cu::ZipfTable table(4096, s);
+    for (int i = 0; i < 10000; ++i) {
+      ASSERT_EQ(sampled.next_zipf(4096, s),
+                table.scan(uniform.next_double() * table.total()));
+    }
+  }
+}
+
+TEST(ZipfTable, RejectsEmptyAndOversizedRankCounts) {
+  EXPECT_THROW(cu::ZipfTable(0, 1.0), std::invalid_argument);
+  EXPECT_THROW(cu::ZipfTable(std::uint64_t{1} << 32, 1.0),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- interp
